@@ -10,13 +10,18 @@
 //!
 //! The weighted-trajectory extension (end of Section 4.2) replaces the
 //! neighborhood count with the sum of member weights.
-
-use std::collections::VecDeque;
+//!
+//! This module holds the public types and the [`LineSegmentClustering`]
+//! entry points. The grouping itself is one ascending-scan kernel in
+//! `crate::group`, shared with the streaming engine; the module docs there
+//! carry the argument for why it labels every segment exactly as Figure
+//! 12's breadth-first expansion does.
 
 use traclus_geom::TrajectoryId;
 
+use crate::group::{self, GroupState, Neighborhoods};
 use crate::params::Parallelism;
-use crate::segment_db::{IndexKind, NeighborIndex, PruneStats, SegmentDatabase};
+use crate::segment_db::{IndexKind, PruneStats, SegmentDatabase};
 
 /// Identifier of a cluster in a [`Clustering`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,10 +61,9 @@ pub struct ClusterConfig {
     pub weighted: bool,
     /// Acceleration structure for ε-neighborhood queries.
     pub index: IndexKind,
-    /// Worker threads for [`LineSegmentClustering::run_configured`]: the
-    /// sharded parallel path when it resolves to ≥ 2, the sequential
-    /// Figure 12 loop otherwise. Either way the resulting [`Clustering`]
-    /// is identical.
+    /// Worker threads for the ε-queries of
+    /// [`LineSegmentClustering::run_configured`]. The resulting
+    /// [`Clustering`] is identical for every thread count.
     pub parallelism: Parallelism,
     /// Filter-and-refine pruning of ε-neighborhood candidates through the
     /// admissible lower bounds of `traclus_geom::lower_bound` (default
@@ -190,7 +194,8 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         Self { db, config }
     }
 
-    /// Runs the three steps of Figure 12 and returns the clustering.
+    /// Runs the three steps of Figure 12 and returns the clustering,
+    /// single-threaded.
     ///
     /// ```
     /// use traclus_core::{ClusterConfig, LineSegmentClustering, SegmentDatabase};
@@ -227,87 +232,14 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
     /// prune counters). The stats ride outside the [`Clustering`] so
     /// equivalence comparisons between execution strategies stay exact.
     pub fn run_with_stats(&self) -> (Clustering, ClusterStats) {
-        let n = self.db.len();
-        let mut index = self.db.build_index(self.config.index, self.config.eps);
-        index.set_pruning(self.config.pruning);
-        // Raw ids assigned during expansion; filtered/renumbered in step 3.
-        let mut raw: Vec<Option<u32>> = vec![None; n];
-        let mut visited_noise: Vec<bool> = vec![false; n];
-        let mut classified: Vec<bool> = vec![false; n];
-        let mut cluster_id: u32 = 0; // line 1
-        let mut neighborhood = Vec::new();
-        let mut queue: VecDeque<u32> = VecDeque::new();
-
-        // Step 1 (lines 3–12): seed clusters from unclassified segments in
-        // id order (determinism).
-        for l in 0..n as u32 {
-            if classified[l as usize] {
-                continue;
-            }
-            self.db
-                .neighborhood_into(&index, l, self.config.eps, &mut neighborhood); // line 5
-            let cardinality = self
-                .db
-                .neighborhood_cardinality(&neighborhood, self.config.weighted);
-            if cardinality >= self.config.min_lns {
-                // lines 7–8: claim the neighborhood for the new cluster and
-                // queue the unclassified part (minus L itself) for
-                // expansion. Only unclassified or noise segments are
-                // claimed: a border segment already classified into an
-                // earlier cluster belongs to that cluster (DBSCAN
-                // first-come semantics) — unconditionally re-assigning it
-                // here would silently steal it and desynchronise the
-                // earlier cluster's members from its labels. Noise
-                // segments are claimed as border members but not queued
-                // (they were already visited and found non-core), matching
-                // `expand_cluster`.
-                queue.clear();
-                for &x in &neighborhood {
-                    let xi = x as usize;
-                    let was_unclassified = !classified[xi];
-                    if was_unclassified || visited_noise[xi] {
-                        raw[xi] = Some(cluster_id);
-                        classified[xi] = true;
-                        visited_noise[xi] = false;
-                        if was_unclassified && x != l {
-                            queue.push_back(x);
-                        }
-                    }
-                }
-                // Step 2 (lines 17–28).
-                self.expand_cluster(
-                    &index,
-                    &mut queue,
-                    cluster_id,
-                    &mut raw,
-                    &mut classified,
-                    &mut visited_noise,
-                    &mut neighborhood,
-                );
-                cluster_id += 1; // line 10
-            } else {
-                visited_noise[l as usize] = true; // line 12
-                classified[l as usize] = true;
-            }
-        }
-
-        // Step 3 (lines 13–16), shared with the parallel path.
-        let clustering = finalize_raw(
-            self.db,
-            &raw,
-            cluster_id,
-            self.config.trajectory_threshold(),
-        );
-        let stats = ClusterStats {
-            prune: index.prune_stats(),
-        };
-        (clustering, stats)
+        self.run_parallel_with_stats(1)
     }
 
-    /// Runs the grouping phase over `threads` worker threads and returns a
-    /// [`Clustering`] **identical** to [`Self::run`] — the sharded
-    /// split/merge design and the equivalence argument live in
-    /// [`crate::shard`]. `threads ≤ 1` takes the sequential path directly.
+    /// Runs the grouping phase with its ε-queries fanned out over
+    /// `threads` worker threads and returns a [`Clustering`] **identical**
+    /// to [`Self::run`]: the queries are pure reads, classification stays
+    /// sequential and ascending — the kernel and its equivalence argument
+    /// live in `crate::group`. `threads ≤ 1` runs every query inline.
     ///
     /// ```
     /// use traclus_core::{ClusterConfig, LineSegmentClustering, SegmentDatabase};
@@ -344,119 +276,25 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
     }
 
     /// [`Self::run_parallel`] plus the run's [`ClusterStats`]. The prune
-    /// counters aggregate across all shard workers (they share one index),
-    /// and because every worker queries the same candidate universe the
-    /// totals match the sequential run's on the same database.
+    /// counters aggregate across all workers (they share one index), and
+    /// because every query is the one a sequential run makes, the totals
+    /// match the sequential run's on the same database.
     pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, ClusterStats) {
-        if threads <= 1 || self.db.len() <= 1 {
-            return self.run_with_stats();
-        }
-        crate::shard::run_sharded(self.db, &self.config, threads)
+        let config = &self.config;
+        let index = group::build_index(self.db, config);
+        let state = GroupState::build(self.db, &index, config, &mut Neighborhoods::new(threads));
+        let clustering = state.label(self.db, config.trajectory_threshold());
+        let stats = ClusterStats {
+            prune: index.prune_stats(),
+        };
+        (clustering, stats)
     }
 
-    /// Dispatches on the configured [`Parallelism`] knob: the sequential
-    /// loop when it resolves to one thread, the sharded parallel path
-    /// otherwise.
-    ///
-    /// Unlike the explicit [`Self::run_parallel`], the automatic path caps
-    /// the worker count so every shard holds a meaningful slice of the
-    /// database — on small inputs spawn + merge overhead would otherwise
-    /// eat the parallel gain (the output is identical either way, so this
-    /// is purely a scheduling decision).
+    /// [`Self::run_parallel`] at the configured [`Parallelism`] thread
+    /// count. Small inputs stay sequential on their own: a query batch
+    /// below the parallelism floor never spawns workers.
     pub fn run_configured(&self) -> Clustering {
-        /// Fewer segments than this per worker and the parallel path stops
-        /// paying for itself.
-        const MIN_SEGMENTS_PER_SHARD: usize = 64;
-        let cap = (self.db.len() / MIN_SEGMENTS_PER_SHARD).max(1);
-        self.run_parallel(self.config.parallelism.thread_count().min(cap))
-    }
-
-    /// Lines 17–28: BFS expansion of a density-connected set.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_cluster(
-        &self,
-        index: &NeighborIndex<D>,
-        queue: &mut VecDeque<u32>,
-        cluster_id: u32,
-        raw: &mut [Option<u32>],
-        classified: &mut [bool],
-        visited_noise: &mut [bool],
-        scratch: &mut Vec<u32>,
-    ) {
-        while let Some(m) = queue.pop_front() {
-            // lines 19–20
-            self.db
-                .neighborhood_into(index, m, self.config.eps, scratch);
-            let cardinality = self
-                .db
-                .neighborhood_cardinality(scratch, self.config.weighted);
-            if cardinality >= self.config.min_lns {
-                // lines 21–26
-                for &x in scratch.iter() {
-                    let xi = x as usize;
-                    let was_unclassified = !classified[xi];
-                    let was_noise = visited_noise[xi];
-                    if was_unclassified || was_noise {
-                        raw[xi] = Some(cluster_id);
-                        classified[xi] = true;
-                        visited_noise[xi] = false;
-                        if was_unclassified {
-                            queue.push_back(x); // line 26
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Step 3 of Figure 12 (lines 13–16), shared by the sequential and sharded
-/// parallel paths: gather members per raw cluster id, apply the
-/// trajectory-cardinality filter, renumber densely, and build the final
-/// label array. Member lists come out ascending because segments are
-/// scanned in id order.
-pub(crate) fn finalize_raw<const D: usize>(
-    db: &SegmentDatabase<D>,
-    raw: &[Option<u32>],
-    raw_cluster_count: u32,
-    threshold: usize,
-) -> Clustering {
-    let n = raw.len();
-    let mut members_by_raw: Vec<Vec<u32>> = vec![Vec::new(); raw_cluster_count as usize];
-    for (seg, assignment) in raw.iter().enumerate() {
-        if let Some(c) = assignment {
-            members_by_raw[*c as usize].push(seg as u32);
-        }
-    }
-    let mut labels = vec![SegmentLabel::Noise; n];
-    let mut clusters = Vec::new();
-    let mut filtered_out = 0usize;
-    for members in members_by_raw {
-        if members.is_empty() {
-            continue;
-        }
-        let mut trajectories: Vec<TrajectoryId> =
-            members.iter().map(|&m| db.trajectory_of(m)).collect();
-        trajectories.sort_unstable();
-        trajectories.dedup();
-        if trajectories.len() < threshold {
-            filtered_out += 1; // line 16: cluster removed; members → noise
-            continue;
-        }
-        let id = ClusterId(clusters.len() as u32);
-        for &m in &members {
-            labels[m as usize] = SegmentLabel::Cluster(id);
-        }
-        clusters.push(Cluster {
-            id,
-            members,
-            trajectories,
-        });
-    }
-    Clustering {
-        labels,
-        clusters,
-        filtered_out,
+        self.run_parallel(self.config.parallelism.thread_count())
     }
 }
 

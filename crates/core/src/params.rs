@@ -11,8 +11,7 @@
 //! The `MinLns` heuristic: `avg|Nε(L)| + 1 … + 3` at the chosen ε.
 //!
 //! This module also hosts [`Parallelism`], the execution-parameter knob of
-//! the grouping phase (how many worker threads the sharded parallel
-//! clustering path uses) — a run-time parameter alongside the paper's
+//! the grouping phase (how many worker threads its ε-queries run on) — a run-time parameter alongside the paper's
 //! statistical ones.
 
 use std::num::NonZeroUsize;
@@ -23,13 +22,13 @@ use crate::segment_db::{IndexKind, NeighborIndex, SegmentDatabase};
 
 /// Thread-count knob for the grouping phase.
 ///
-/// `Sequential` (and any resolved count of 1) takes the exact Figure 12
-/// sequential loop; anything larger takes the sharded parallel path, which
-/// produces the identical [`crate::Clustering`] (see
-/// `crate::shard`). The default uses every available hardware thread.
+/// `Sequential` (and any resolved count of 1) runs every ε-query inline;
+/// anything larger fans batches of queries out over worker threads. The
+/// resulting [`crate::Clustering`] is identical either way (see
+/// `crate::group`). The default uses every available hardware thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// One thread: the sequential Figure 12 loop, bit-for-bit.
+    /// One thread: every ε-query runs inline.
     Sequential,
     /// A fixed number of worker threads (0 is treated as 1).
     Threads(usize),

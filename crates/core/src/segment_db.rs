@@ -73,7 +73,7 @@ impl PruneStats {
 }
 
 /// Shared atomic tallies behind [`PruneStats`]. Queries take `&self` and
-/// run concurrently from the sharded workers, so the counters are atomics;
+/// run concurrently from the query workers, so the counters are atomics;
 /// each query accumulates locally and flushes once (relaxed — the numbers
 /// are observability, not synchronisation).
 #[derive(Debug, Default)]
@@ -386,8 +386,7 @@ impl<const D: usize> SegmentDatabase<D> {
         self.soa.length(id as usize)
     }
 
-    /// Cached midpoint of a segment's MBR (used by the sharded parallel
-    /// path to assign segments to spatial tiles).
+    /// Cached midpoint of a segment's MBR.
     pub fn midpoint(&self, id: u32) -> traclus_geom::Point<D> {
         self.soa.midpoint(id as usize)
     }
@@ -499,19 +498,6 @@ impl<const D: usize> SegmentDatabase<D> {
             radius_per_eps,
             prune: true,
             counters: PruneCounters::default(),
-        }
-    }
-
-    /// The spatial radius (in coordinate units) by which an ε-query under
-    /// this database's distance weights expands a segment's bounding box,
-    /// or `None` when the weights are inadmissible and only a full scan
-    /// is correct. Used by the shard planner to estimate per-segment
-    /// candidate-set sizes; see [`traclus_index::filter_radius`].
-    pub fn query_radius(&self, eps: f64) -> Option<f64> {
-        if eps.is_finite() && eps >= 0.0 {
-            filter_radius(eps, &self.distance.weights)
-        } else {
-            None
         }
     }
 

@@ -15,26 +15,21 @@
 //! 3. repairs cluster state **locally**: the ε-neighborhoods (Definition 4)
 //!    of the new segments are expanded, neighborhood cardinalities of
 //!    affected segments are updated in place, segments whose core-ness
-//!    (Definition 5) flips are re-expanded, and a union-find over core
-//!    segments (the same min-root machinery as the sharded parallel path in
-//!    [`crate::shard`]) folds newly connected components together.
+//!    (Definition 5) flips are re-expanded, and a min-root union-find over
+//!    core segments folds newly connected components together.
 //!
 //! # Exactness
 //!
-//! Local repair is not an approximation. Core-ness is intrinsic (it depends
-//! only on the database, never on arrival order), clusters restricted to
-//! cores are the connected components of the core-adjacency graph, and
-//! non-core border segments join the earliest claiming component — all
-//! order-free quantities, the same argument that makes the sharded parallel
-//! path exact. Insertion only ever *adds* ε-edges and *promotes* segments
-//! to core (for non-negative weights), so maintaining counts, a monotone
-//! union-find, and per-border claim lists reproduces the batch state after
-//! every insertion: [`IncrementalClustering::snapshot`] equals
-//! [`crate::LineSegmentClustering::run`] on the same prefix of the stream,
-//! label for label. The equivalence suite
-//! (`crates/core/tests/streaming_equivalence.rs`) locks this down on
-//! hurricane, grid, and random-walk fixtures, including mid-stream
-//! prefixes.
+//! Local repair is not an approximation. The engine keeps exactly the
+//! state the batch grouping kernel builds (`crate::group`, whose module
+//! docs carry the equivalence argument): counts, core flags, a min-root
+//! union-find over cores and per-border claim lists. Insertion only ever
+//! *adds* ε-edges and *promotes* segments to core (for non-negative
+//! weights), so updating that state in place reproduces the batch state.
+//! The full re-cluster *is* the kernel's build and
+//! [`IncrementalClustering::snapshot`] is its labelling function, so the
+//! snapshot equals [`crate::LineSegmentClustering::run`] on the same
+//! prefix, label for label (`crates/core/tests/streaming_equivalence.rs`).
 //!
 //! # The dirty-region threshold
 //!
@@ -81,23 +76,18 @@
 //!
 //! # Parallel repair
 //!
-//! Every repair and rebuild path above is dominated by ε-queries, and an
-//! ε-query is a pure read of the database and index. When
-//! [`crate::TraclusConfig::parallelism`] allows more than one thread, the
-//! engine fans each large enough batch of queries out over scoped worker
-//! threads (the same machinery as [`crate::shard`]) and applies the
-//! results sequentially in ascending-id order — so the weighted
-//! cardinality sums, union-find merges, and claim lists are bit-identical
-//! to the sequential engine's, and the snapshot guarantee is untouched by
-//! the thread count. [`StreamStats::repair_parallel_batches`] counts how
-//! often the parallel path actually engaged.
+//! Every repair path above is dominated by ε-queries, which run through
+//! the kernel's batched queries: on the configured worker threads, applied
+//! sequentially in ascending-id order, so the result never depends on the
+//! thread count. [`StreamStats::repair_parallel_batches`] counts how often
+//! the workers engaged.
 
 use traclus_geom::Trajectory;
 
-use crate::cluster::{finalize_raw, ClusterConfig, Clustering};
+use crate::cluster::{ClusterConfig, Clustering};
+use crate::group::{self, push_claim, GroupState, Neighborhoods, UnionFind};
 use crate::partition::partition_trajectory_from;
 use crate::segment_db::{NeighborIndex, PruneStats, SegmentDatabase};
-use crate::shard::UnionFind;
 use crate::{TraclusConfig, TraclusOutcome};
 
 /// Maintenance knobs of the incremental engine — the run-time parameters
@@ -287,21 +277,12 @@ pub struct IncrementalClustering<const D: usize> {
     stream: StreamConfig,
     db: SegmentDatabase<D>,
     index: NeighborIndex<D>,
-    /// `|Nε(L)|` per segment (weighted when configured; self included),
-    /// maintained incrementally in ascending-id accumulation order — the
-    /// same order the batch pass sums in, so the values are bit-identical.
-    counts: Vec<f64>,
-    /// Definition 5 core flags, monotone under insertion (for non-negative
+    /// The batch kernel's grouping state, kept current by local repair.
+    /// Counts are maintained in ascending-id accumulation order — the
+    /// order the batch build sums in, so the values are bit-identical —
+    /// and core flags are monotone under insertion (for non-negative
     /// weights).
-    core: Vec<bool>,
-    /// Union-find over core segments; min-root, so a component's root is
-    /// its minimum core id.
-    dsu: UnionFind,
-    /// For each non-core segment: core ids within ε that claim it as a
-    /// border member (cleared if the segment later becomes core itself).
-    /// Lists may carry stale entries for cores a removal has since retired
-    /// or demoted; [`Self::snapshot`] filters on the current core flags.
-    claims: Vec<Vec<u32>>,
+    group: GroupState,
     stats: StreamStats,
     /// Logical clock: ticks by one per [`Self::insert`], or jumps to the
     /// caller-supplied (monotone) timestamp in [`Self::insert_at`]. Drives
@@ -313,8 +294,8 @@ pub struct IncrementalClustering<const D: usize> {
     arrivals: Vec<Arrival>,
     /// Count of live records in `arrivals`.
     live_arrivals: usize,
-    /// Reusable neighborhood scratch.
-    scratch: Vec<u32>,
+    /// Batched ε-queries on the configured worker threads.
+    queries: Neighborhoods,
 }
 
 /// One segment-producing insertion in the arrival log.
@@ -330,20 +311,6 @@ struct Arrival {
     live: bool,
 }
 
-/// Claim lists are deduplicated once they outgrow this many entries
-/// (weighted databases can have non-core segments with arbitrarily many
-/// core neighbours; unweighted ones are bounded by `MinLns` anyway).
-const CLAIM_DEDUP_LEN: usize = 16;
-
-/// Below this many ε-queries a repair batch runs sequentially: spawning
-/// scoped workers costs more than the queries themselves.
-const MIN_PARALLEL_REPAIR: usize = 32;
-
-/// Repair loops hand ids to the workers in batches of this size, so a
-/// rebuild over a large window never retains more than one batch worth of
-/// neighborhoods at a time (the sequential loops hold exactly one).
-const REPAIR_BATCH: usize = 512;
-
 impl<const D: usize> IncrementalClustering<D> {
     /// An empty engine bound to a pipeline configuration (the `stream`
     /// field supplies the maintenance knobs).
@@ -352,23 +319,19 @@ impl<const D: usize> IncrementalClustering<D> {
         assert!(config.min_lns >= 1, "MinLns must be ≥ 1");
         let cluster = config.cluster_config();
         let db = SegmentDatabase::from_segments(Vec::new(), config.distance);
-        let mut index = db.build_index(cluster.index, cluster.eps);
-        index.set_pruning(cluster.pruning);
+        let index = group::build_index(&db, &cluster);
         Self {
             config,
             cluster,
             stream: config.stream,
             db,
             index,
-            counts: Vec::new(),
-            core: Vec::new(),
-            dsu: UnionFind::new(0),
-            claims: Vec::new(),
+            group: GroupState::default(),
             stats: StreamStats::default(),
             clock: 0,
             arrivals: Vec::new(),
             live_arrivals: 0,
-            scratch: Vec::new(),
+            queries: Neighborhoods::new(cluster.parallelism.thread_count()),
         }
     }
 
@@ -430,6 +393,8 @@ impl<const D: usize> IncrementalClustering<D> {
     pub fn stats(&self) -> StreamStats {
         let mut stats = self.stats;
         stats.absorb_prune(self.index.prune_stats());
+        stats.repair_parallel_batches = self.queries.parallel_batches;
+        stats.repair_parallel_queries = self.queries.parallel_queries;
         stats
     }
 
@@ -502,19 +467,22 @@ impl<const D: usize> IncrementalClustering<D> {
         let n = self.db.len() as u32;
         for id in first..n {
             self.index.insert(id, self.db.bbox_of(id));
-            self.counts.push(0.0);
-            self.core.push(false);
-            self.claims.push(Vec::new());
-            self.dsu.push();
+            self.group.push();
         }
 
         // ε-neighborhoods of every new segment, against the whole database
         // (new segments included — they are already indexed). Large
         // arrivals fan the queries out over the worker threads; the repair
-        // below retains every neighborhood anyway, so there is no batching
-        // to do.
+        // below reuses every neighborhood.
         let new_ids: Vec<u32> = (first..n).collect();
-        let hoods: Vec<Vec<u32>> = self.batch_neighborhoods(&new_ids);
+        let mut hoods: Vec<Vec<u32>> = Vec::with_capacity(new_ids.len());
+        self.queries.for_each(
+            &self.db,
+            &self.index,
+            &new_ids,
+            self.cluster.eps,
+            |_, hood| hoods.push(hood.to_vec()),
+        );
 
         // Update cardinalities: each new segment gets its full neighborhood
         // sum; each pre-existing neighbour gains the new segment's
@@ -523,7 +491,7 @@ impl<const D: usize> IncrementalClustering<D> {
         let mut touched: Vec<u32> = Vec::new();
         for (k, hood) in hoods.iter().enumerate() {
             let id = first + k as u32;
-            self.counts[id as usize] = self
+            self.group.counts[id as usize] = self
                 .db
                 .neighborhood_cardinality(hood, self.cluster.weighted);
             let gain = if self.cluster.weighted {
@@ -533,7 +501,7 @@ impl<const D: usize> IncrementalClustering<D> {
             };
             for &b in hood {
                 if b < first {
-                    self.counts[b as usize] += gain;
+                    self.group.counts[b as usize] += gain;
                     touched.push(b);
                 }
             }
@@ -547,8 +515,8 @@ impl<const D: usize> IncrementalClustering<D> {
         let mut flips: Vec<u32> = Vec::new();
         let mut demoted = false;
         for &b in &touched {
-            let is_core_now = self.counts[b as usize] >= self.cluster.min_lns;
-            match (self.core[b as usize], is_core_now) {
+            let is_core_now = self.group.counts[b as usize] >= self.cluster.min_lns;
+            match (self.group.core[b as usize], is_core_now) {
                 (false, true) => flips.push(b),
                 (true, false) => demoted = true,
                 _ => {}
@@ -568,7 +536,12 @@ impl<const D: usize> IncrementalClustering<D> {
         }
         self.stats.core_flips += flipped_cores;
         #[cfg(feature = "invariant-checks")]
-        self.debug_check_insert(first, &flips);
+        {
+            let mut dirty: Vec<u32> = (first..self.db.len() as u32).collect();
+            dirty.extend_from_slice(&flips);
+            let compare = self.stats.trajectories.is_power_of_two();
+            self.debug_check(&dirty, compare, "stream-insert");
+        }
         let expired = self.enforce_window();
         InsertReport {
             new_segments: new_count,
@@ -578,48 +551,19 @@ impl<const D: usize> IncrementalClustering<D> {
         }
     }
 
-    /// Post-insertion sanitizer pass (`invariant-checks` feature only):
-    /// union-find canonical form, SoA/AoS coherence, incrementally grown
-    /// index vs full scan on the dirty region, and — at power-of-two
-    /// trajectory counts, so the extra work stays O(log n) batch runs over
-    /// a stream — the full snapshot == batch spot check.
+    /// Sanitizer pass after an insertion or removal (`invariant-checks`
+    /// feature only): union-find canonical form, SoA/AoS and tombstone
+    /// coherence, the incrementally maintained index vs a full scan on the
+    /// live part of the dirty region, and — when `compare` — the headline
+    /// guarantee itself: `snapshot()` equals a fresh batch run over the
+    /// live window. Removals compare every time; insertions at
+    /// power-of-two trajectory counts, so the extra work stays O(log n)
+    /// batch runs over a stream.
     #[cfg(feature = "invariant-checks")]
-    fn debug_check_insert(&self, first: u32, flips: &[u32]) {
-        crate::invariants::assert_union_find_canonical(&self.dsu, "stream-insert");
-        crate::invariants::assert_soa_coherent(&self.db, "stream-insert");
-        let mut dirty: Vec<u32> = (first..self.db.len() as u32).collect();
-        dirty.extend_from_slice(flips);
-        crate::invariants::assert_index_consistent(
-            &self.db,
-            &self.index,
-            self.cluster.eps,
-            &dirty,
-            "stream-insert",
-        );
-        if self.stats.trajectories.is_power_of_two() {
-            let live = self.live_database();
-            let batch = crate::cluster::LineSegmentClustering::new(&live, self.cluster).run();
-            assert!(
-                self.snapshot() == batch,
-                "invariant-checks[stream-insert]: snapshot diverged from the \
-                 batch run at {} trajectories / {} live segments",
-                self.stats.trajectories,
-                self.db.live_len()
-            );
-        }
-    }
-
-    /// Post-removal sanitizer pass (`invariant-checks` feature only): the
-    /// decremental siblings of [`Self::debug_check_insert`] — union-find
-    /// canonical form over the repaired components, tombstone bookkeeping,
-    /// incrementally shrunk index vs full scan on the dirty region, and
-    /// the headline decremental guarantee itself: after **every** removal,
-    /// `snapshot()` equals a batch run over the live window.
-    #[cfg(feature = "invariant-checks")]
-    fn debug_check_remove(&self, dirty: &[u32]) {
-        crate::invariants::assert_union_find_canonical(&self.dsu, "stream-remove");
-        crate::invariants::assert_soa_coherent(&self.db, "stream-remove");
-        crate::invariants::assert_tombstones_coherent(&self.db, "stream-remove");
+    fn debug_check(&self, dirty: &[u32], compare: bool, context: &str) {
+        crate::invariants::assert_union_find_canonical(&self.group.dsu, context);
+        crate::invariants::assert_soa_coherent(&self.db, context);
+        crate::invariants::assert_tombstones_coherent(&self.db, context);
         let live_dirty: Vec<u32> = dirty
             .iter()
             .copied()
@@ -630,17 +574,21 @@ impl<const D: usize> IncrementalClustering<D> {
             &self.index,
             self.cluster.eps,
             &live_dirty,
-            "stream-remove",
+            context,
         );
-        let live = self.live_database();
-        let batch = crate::cluster::LineSegmentClustering::new(&live, self.cluster).run();
-        assert!(
-            self.snapshot() == batch,
-            "invariant-checks[stream-remove]: snapshot diverged from the \
-             batch run over the live window ({} live segments, {} slots)",
-            self.db.live_len(),
-            self.db.len()
-        );
+        if compare {
+            let live = self.live_database();
+            let batch = crate::cluster::LineSegmentClustering::new(&live, self.cluster).run();
+            assert!(
+                self.snapshot() == batch,
+                "invariant-checks[{context}]: snapshot diverged from the batch run \
+                 over the live window ({} trajectories ingested, {} live segments, \
+                 {} slots)",
+                self.stats.trajectories,
+                self.db.live_len(),
+                self.db.len()
+            );
+        }
     }
 
     /// Ingests a whole sequence, returning the number of trajectories.
@@ -818,17 +766,15 @@ impl<const D: usize> IncrementalClustering<D> {
         //    neighbours' claim lists — the snapshot would filter them
         //    anyway, retention just bounds memory.
         let mut dirty: Vec<u32> = Vec::new();
-        for batch in removed.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&r, hood) in batch.iter().zip(&hoods) {
-                for &m in hood {
-                    dirty.push(m);
-                    if self.core[r as usize] && !self.core[m as usize] {
-                        self.claims[m as usize].retain(|&c| c != r);
-                    }
+        let (db, index, eps, group) = (&self.db, &self.index, self.cluster.eps, &mut self.group);
+        self.queries.for_each(db, index, &removed, eps, |r, hood| {
+            for &m in hood {
+                dirty.push(m);
+                if group.core[r as usize] && !group.core[m as usize] {
+                    group.claims[m as usize].retain(|&c| c != r);
                 }
             }
-        }
+        });
         dirty.sort_unstable();
         dirty.dedup();
 
@@ -838,35 +784,29 @@ impl<const D: usize> IncrementalClustering<D> {
         //    only with negative weights) defeats the scoped repair.
         let mut demoted: Vec<u32> = Vec::new();
         let mut promoted = false;
-        for batch in dirty.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&d, hood) in batch.iter().zip(&hoods) {
-                self.counts[d as usize] = self
-                    .db
-                    .neighborhood_cardinality(hood, self.cluster.weighted);
-                let is_core_now = self.counts[d as usize] >= self.cluster.min_lns;
-                match (self.core[d as usize], is_core_now) {
-                    (true, false) => demoted.push(d),
-                    (false, true) => promoted = true,
-                    _ => {}
-                }
+        let (cfg, group) = (&self.cluster, &mut self.group);
+        self.queries.for_each(db, index, &dirty, eps, |d, hood| {
+            let count = db.neighborhood_cardinality(hood, cfg.weighted);
+            group.counts[d as usize] = count;
+            match (group.core[d as usize], count >= cfg.min_lns) {
+                (true, false) => demoted.push(d),
+                (false, true) => promoted = true,
+                _ => {}
             }
-        }
+        });
 
         // 4. Affected components: any old component holding a departed or
         //    demoted core may have split and must be rebuilt from its
         //    survivors. Every other component is untouched — removal never
         //    adds ε-edges, so no cross-component merge can be pending.
         //    Roots are read before any core flag changes.
-        let mut affected_roots: Vec<u32> = Vec::new();
-        for &r in &removed {
-            if self.core[r as usize] {
-                affected_roots.push(self.dsu.find_readonly(r));
-            }
-        }
-        for &d in &demoted {
-            affected_roots.push(self.dsu.find_readonly(d));
-        }
+        let roots = self.group.dsu.roots();
+        let mut affected_roots: Vec<u32> = removed
+            .iter()
+            .filter(|&&r| self.group.core[r as usize])
+            .chain(&demoted)
+            .map(|&c| roots[c as usize])
+            .collect();
         affected_roots.sort_unstable();
         affected_roots.dedup();
 
@@ -876,11 +816,13 @@ impl<const D: usize> IncrementalClustering<D> {
         let mut affected_cores: Vec<u32> = Vec::new();
         let mut keep: Vec<(u32, u32)> = Vec::new();
         for id in 0..self.db.len() as u32 {
-            if !self.core[id as usize] || !self.db.is_live(id) || demoted.binary_search(&id).is_ok()
+            if !self.group.core[id as usize]
+                || !self.db.is_live(id)
+                || demoted.binary_search(&id).is_ok()
             {
                 continue;
             }
-            let root = self.dsu.find_readonly(id);
+            let root = roots[id as usize];
             if affected_roots.binary_search(&root).is_ok() {
                 affected_cores.push(id);
             } else {
@@ -894,9 +836,9 @@ impl<const D: usize> IncrementalClustering<D> {
         let rebuilt = promoted
             || (work as f64) > self.stream.rebuild_threshold * self.db.live_len().max(1) as f64;
         for &r in &removed {
-            self.core[r as usize] = false;
-            self.counts[r as usize] = 0.0;
-            self.claims[r as usize] = Vec::new();
+            self.group.core[r as usize] = false;
+            self.group.counts[r as usize] = 0.0;
+            self.group.claims[r as usize] = Vec::new();
         }
         if rebuilt {
             self.rebuild();
@@ -916,7 +858,7 @@ impl<const D: usize> IncrementalClustering<D> {
         {
             let mut check = dirty;
             check.extend_from_slice(&removed);
-            self.debug_check_remove(&check);
+            self.debug_check(&check, true, "stream-remove");
         }
         report
     }
@@ -925,42 +867,39 @@ impl<const D: usize> IncrementalClustering<D> {
     /// components transplant wholesale under their old minimum root,
     /// demoted cores turn into border candidates with freshly computed
     /// claim lists, and the surviving cores of affected components are
-    /// re-expanded from scratch — the same min-root rules as
-    /// [`crate::shard`], confined to the components the removal could have
-    /// split.
+    /// re-expanded from scratch — the batch kernel's min-root rules,
+    /// confined to the components the removal could have split.
     fn repair_removal(&mut self, demoted: &[u32], keep: &[(u32, u32)], affected_cores: &[u32]) {
         // All demotions land before any claim list is derived, so the core
         // flags each derivation reads are final.
         for &d in demoted {
-            self.core[d as usize] = false;
+            self.group.core[d as usize] = false;
         }
-        for batch in demoted.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&d, hood) in batch.iter().zip(&hoods) {
-                // A demoted core becomes a border candidate: its claims are
-                // exactly its surviving core neighbours (its old list is
-                // empty — it was core). Conversely its non-core neighbours
-                // may hold claims on it; scrub those.
-                let mut claims = Vec::new();
-                for &m in hood {
-                    if m == d {
-                        continue;
-                    }
-                    if self.core[m as usize] {
-                        claims.push(m);
-                    } else {
-                        self.claims[m as usize].retain(|&c| c != d);
-                    }
+        let (db, index, eps, group) = (&self.db, &self.index, self.cluster.eps, &mut self.group);
+        self.queries.for_each(db, index, demoted, eps, |d, hood| {
+            // A demoted core becomes a border candidate: its claims are
+            // exactly its surviving core neighbours (its old list is empty
+            // — it was core). Conversely its non-core neighbours may hold
+            // claims on it; scrub those.
+            let mut claims = Vec::new();
+            for &m in hood {
+                if m == d {
+                    continue;
                 }
-                self.claims[d as usize] = claims;
+                if group.core[m as usize] {
+                    claims.push(m);
+                } else {
+                    group.claims[m as usize].retain(|&c| c != d);
+                }
             }
-        }
+            group.claims[d as usize] = claims;
+        });
 
         // Fresh union-find; transplant the unaffected components. `keep`
         // was gathered in ascending id order, so after the (root, id) sort
         // each group's first member is its minimum surviving core — the
         // root the batch pass would seed the component with.
-        self.dsu = UnionFind::new(self.db.len() as u32);
+        self.group.dsu = UnionFind::new(self.db.len() as u32);
         let mut keep = keep.to_vec();
         keep.sort_unstable();
         let mut k = 0;
@@ -968,7 +907,7 @@ impl<const D: usize> IncrementalClustering<D> {
             let (root, anchor) = keep[k];
             let mut j = k + 1;
             while j < keep.len() && keep[j].0 == root {
-                self.dsu.union(anchor, keep[j].1);
+                self.group.dsu.union(anchor, keep[j].1);
                 j += 1;
             }
             k = j;
@@ -979,12 +918,11 @@ impl<const D: usize> IncrementalClustering<D> {
         // post-removal connectivity (splits fall out naturally), and their
         // claims re-land on bordering non-cores (duplicates are harmless —
         // the snapshot takes a min over live core claims).
-        for batch in affected_cores.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&c, hood) in batch.iter().zip(&hoods) {
-                self.expand_core(c, hood);
-            }
-        }
+        let group = &mut self.group;
+        self.queries
+            .for_each(db, index, affected_cores, eps, |c, hood| {
+                group.expand_core(c, hood)
+            });
     }
 
     /// Local repair: mark the new core flags, then re-expand exactly the
@@ -994,187 +932,60 @@ impl<const D: usize> IncrementalClustering<D> {
     fn repair_locally(&mut self, first: u32, hoods: &[Vec<u32>], flips: &[u32]) {
         let n = self.db.len() as u32;
         for &b in flips {
-            self.core[b as usize] = true;
+            self.group.core[b as usize] = true;
         }
         for id in first..n {
-            self.core[id as usize] = self.counts[id as usize] >= self.cluster.min_lns;
+            self.group.core[id as usize] = self.group.counts[id as usize] >= self.cluster.min_lns;
         }
         // Segments that became core *this* insertion, ascending (flips are
         // all below `first`, new ids at/above it). Their own expansions
         // record every edge they participate in; older cores' edges to new
         // non-core segments are recorded from the non-core side below.
         let mut fresh: Vec<u32> = flips.to_vec();
-        fresh.extend((first..n).filter(|&id| self.core[id as usize]));
-        for batch in flips.chunks(REPAIR_BATCH) {
-            let flip_hoods = self.batch_neighborhoods(batch);
-            for (&c, hood) in batch.iter().zip(&flip_hoods) {
-                self.expand_core(c, hood);
-            }
-        }
+        fresh.extend((first..n).filter(|&id| self.group.core[id as usize]));
+        let group = &mut self.group;
+        self.queries
+            .for_each(&self.db, &self.index, flips, self.cluster.eps, |c, hood| {
+                group.expand_core(c, hood)
+            });
         for (k, hood) in hoods.iter().enumerate() {
             let id = first + k as u32;
-            if self.core[id as usize] {
-                self.expand_core(id, hood);
+            if group.core[id as usize] {
+                group.expand_core(id, hood);
             } else {
                 for &m in hood {
-                    if m != id && self.core[m as usize] && fresh.binary_search(&m).is_err() {
-                        push_claim(&mut self.claims[id as usize], m);
+                    if m != id && group.core[m as usize] && fresh.binary_search(&m).is_err() {
+                        push_claim(&mut group.claims[id as usize], m);
                     }
                 }
-            }
-        }
-    }
-
-    /// The ε-neighborhoods of `ids`, in `ids` order: computed on the
-    /// configured worker threads ([`crate::Parallelism`]) when the batch
-    /// clears [`MIN_PARALLEL_REPAIR`], sequentially otherwise. Each query
-    /// is a pure read of the database and index, so the results — and
-    /// everything the caller derives from them in `ids` order — are
-    /// bit-identical either way; parallelism moves work, never output.
-    fn batch_neighborhoods(&mut self, ids: &[u32]) -> Vec<Vec<u32>> {
-        let threads = self.cluster.parallelism.thread_count().min(ids.len());
-        if threads <= 1 || ids.len() < MIN_PARALLEL_REPAIR {
-            let mut out = Vec::with_capacity(ids.len());
-            for &id in ids {
-                self.db
-                    .neighborhood_into(&self.index, id, self.cluster.eps, &mut self.scratch);
-                out.push(self.scratch.clone());
-            }
-            return out;
-        }
-        self.stats.repair_parallel_batches += 1;
-        self.stats.repair_parallel_queries += ids.len() as u64;
-        crate::shard::parallel_neighborhoods(&self.db, &self.index, ids, self.cluster.eps, threads)
-    }
-
-    /// One freshly core segment's expansion: union with every core
-    /// neighbour, claim every non-core neighbour, and drop any claims made
-    /// on the segment while it was still a border candidate.
-    fn expand_core(&mut self, c: u32, hood: &[u32]) {
-        self.claims[c as usize] = Vec::new();
-        for &m in hood {
-            if m == c {
-                continue;
-            }
-            if self.core[m as usize] {
-                self.dsu.union(c, m);
-            } else {
-                push_claim(&mut self.claims[m as usize], c);
             }
         }
     }
 
     /// The fallback: recompute counts, core flags, components, and claims
-    /// from scratch over the whole database, against a freshly bulk-built
-    /// index (undoing any R-tree degradation from incremental inserts).
-    ///
-    /// One ε-query per segment: `counts[id]` is fully determined by `id`'s
-    /// own whole-database query, so `core[id]` is final the moment `id` is
-    /// visited. Scanning ids ascending, a backward edge `(b, id)` with
-    /// `b < id` therefore sees two final core flags and can be classified
-    /// (union / claim) immediately; forward edges need no deferral because
-    /// the distance is symmetric — the pair resurfaces as the backward
-    /// edge of its later endpoint. (The sharded workers in [`crate::shard`]
-    /// must defer instead, because a worker only ever queries its own
-    /// members.)
+    /// from scratch over the whole database — the batch kernel's build
+    /// (`crate::group`) — against a freshly bulk-built index (undoing any
+    /// R-tree degradation from incremental inserts).
     fn rebuild(&mut self) {
-        let n = self.db.len() as u32;
         // The outgoing index carries prune tallies the lifetime stats must
         // keep; fold them in before the replacement drops it.
         self.stats.absorb_prune(self.index.prune_stats());
-        let threads = self.cluster.parallelism.thread_count();
-        self.index = self
-            .db
-            .build_index_parallel(self.cluster.index, self.cluster.eps, threads);
-        self.index.set_pruning(self.cluster.pruning);
-        self.dsu = UnionFind::new(n);
-        let mut live_ids: Vec<u32> = Vec::with_capacity(self.db.live_len());
-        for id in 0..n {
-            if self.db.is_live(id) {
-                live_ids.push(id);
-            } else {
-                self.counts[id as usize] = 0.0;
-                self.core[id as usize] = false;
-                self.claims[id as usize] = Vec::new();
-            }
-        }
-        // Batched so a large window never retains more than one batch of
-        // neighborhoods. Classification stays sequential and strictly
-        // ascending: when the backward edge `(b, id)` is visited, `b < id`
-        // has already been finalised — whether in this batch or an earlier
-        // one — exactly as in the sequential scan.
-        for batch in live_ids.chunks(REPAIR_BATCH) {
-            let hoods = self.batch_neighborhoods(batch);
-            for (&id, hood) in batch.iter().zip(&hoods) {
-                self.counts[id as usize] = self
-                    .db
-                    .neighborhood_cardinality(hood, self.cluster.weighted);
-                let id_core = self.counts[id as usize] >= self.cluster.min_lns;
-                self.core[id as usize] = id_core;
-                self.claims[id as usize] = Vec::new();
-                for &b in hood.iter().take_while(|&&b| b < id) {
-                    match (id_core, self.core[b as usize]) {
-                        (true, true) => self.dsu.union(id, b),
-                        (true, false) => push_claim(&mut self.claims[b as usize], id),
-                        (false, true) => push_claim(&mut self.claims[id as usize], b),
-                        (false, false) => {}
-                    }
-                }
-            }
-        }
+        self.index = group::build_index(&self.db, &self.cluster);
+        // Release the outgoing state first: the id space spans every
+        // tombstone, so holding two copies at once would double the peak.
+        self.group = GroupState::default();
+        self.group = GroupState::build(&self.db, &self.index, &self.cluster, &mut self.queries);
     }
 
     /// The current clustering, identical to what the batch
-    /// [`crate::LineSegmentClustering::run`] produces on the segments
-    /// ingested so far: components are numbered in ascending minimum-core-id
-    /// order (the sequential seed order), border segments join their
-    /// earliest claiming component, and the Definition 10
-    /// trajectory-cardinality filter runs last.
+    /// [`crate::LineSegmentClustering::run`] produces on the live window:
+    /// the batch kernel's labelling function over the maintained state —
+    /// components numbered in ascending minimum-core-id order, border
+    /// segments in their earliest claiming component, the Definition 10
+    /// trajectory-cardinality filter last.
     pub fn snapshot(&self) -> Clustering {
-        let n = self.db.len();
-        let mut comp_of_root = vec![u32::MAX; n];
-        let mut raw: Vec<Option<u32>> = vec![None; self.db.live_len()];
-        let mut cluster_count = 0u32;
-        // Live ids map to dense ranks monotonically, so walking the sparse
-        // id space ascending visits dense slots ascending — components are
-        // numbered in the batch pass's seed order.
-        let mut dense = 0usize;
-        for id in 0..n as u32 {
-            if !self.db.is_live(id) {
-                continue;
-            }
-            if self.core[id as usize] {
-                let root = self.dsu.find_readonly(id) as usize;
-                if comp_of_root[root] == u32::MAX {
-                    comp_of_root[root] = cluster_count;
-                    cluster_count += 1;
-                }
-                raw[dense] = Some(comp_of_root[root]);
-            }
-            dense += 1;
-        }
-        let mut dense = 0usize;
-        for id in 0..n {
-            if !self.db.is_live(id as u32) {
-                continue;
-            }
-            if !self.core[id] {
-                // Claim lists may carry cores a removal has retired or
-                // demoted since; only currently live core claims count.
-                raw[dense] = self.claims[id]
-                    .iter()
-                    .filter(|&&c| self.core[c as usize])
-                    .map(|&c| comp_of_root[self.dsu.find_readonly(c) as usize])
-                    .min();
-            }
-            dense += 1;
-        }
-        finalize_raw(
-            &self.live_database(),
-            &raw,
-            cluster_count,
-            self.cluster.trajectory_threshold(),
-        )
+        self.group
+            .label(&self.db, self.cluster.trajectory_threshold())
     }
 
     /// Consumes the engine and returns the full pipeline outcome — the
@@ -1190,21 +1001,6 @@ impl<const D: usize> IncrementalClustering<D> {
         };
         crate::attach_representatives(&self.config, db, clustering)
     }
-}
-
-/// Appends a claiming core, compacting (sort + dedup) only when the list
-/// is both past [`CLAIM_DEDUP_LEN`] and out of capacity, then reserving
-/// headroom proportional to the distinct count — so a border segment with
-/// `k` distinct claiming cores pays O(k log k) per *doubling*, not per
-/// push. Duplicates are harmless for correctness (the snapshot takes a
-/// min); compaction only bounds memory.
-fn push_claim(claims: &mut Vec<u32>, core_id: u32) {
-    if claims.len() >= CLAIM_DEDUP_LEN && claims.len() == claims.capacity() {
-        claims.sort_unstable();
-        claims.dedup();
-        claims.reserve(claims.len().max(CLAIM_DEDUP_LEN));
-    }
-    claims.push(core_id);
 }
 
 #[cfg(test)]
@@ -1578,7 +1374,7 @@ mod tests {
                 stats.repair_parallel_batches > 0,
                 "t={threads} never engaged the parallel path"
             );
-            assert!(stats.repair_parallel_queries >= MIN_PARALLEL_REPAIR as u64);
+            assert!(stats.repair_parallel_queries >= crate::group::MIN_PARALLEL_REPAIR as u64);
         }
     }
 

@@ -17,10 +17,10 @@
 //! (removals pinned to scoped local repair) — so both decremental paths
 //! face the same oracle.
 
+mod common;
+
 use proptest::prelude::*;
-use traclus_core::{
-    Clustering, IncrementalClustering, RemoveReport, StreamConfig, Traclus, TraclusConfig,
-};
+use traclus_core::{Clustering, IncrementalClustering, RemoveReport, StreamConfig, TraclusConfig};
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
 /// Thresholds a `threshold_sel in 0..3` parameter indexes into.
@@ -35,10 +35,11 @@ fn config_with(eps: f64, min_lns: usize, stream: StreamConfig) -> TraclusConfig 
     }
 }
 
-/// The oracle: the full batch pipeline over the live window in arrival
-/// order — exactly what the engine's snapshot claims to equal.
+/// The oracle: MDL partitioning plus the Figure 12 breadth-first
+/// expansion (`common`) over the live window in arrival order — exactly
+/// what the engine's snapshot claims to equal.
 fn batch(config: &TraclusConfig, live: &[Trajectory<2>]) -> Clustering {
-    Traclus::new(*config).run(live).clustering
+    common::bfs_pipeline(config, live)
 }
 
 prop_compose! {

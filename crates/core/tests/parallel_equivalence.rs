@@ -1,50 +1,39 @@
-//! Equivalence harness for the sharded parallel clustering path.
+//! Equivalence harness for the grouping kernel at every thread count.
 //!
-//! `run_parallel(t)` must produce the same clustering as the sequential
-//! `run()` for every thread count — the design argument lives in
-//! `traclus_core::shard`, and this suite locks it down empirically:
+//! `run()` and `run_parallel(t)` must produce the same clustering as the
+//! Figure 12 breadth-first expansion (the test-side oracle in `common`)
+//! for every thread count — the design argument lives in the library's
+//! `group` module, and this suite locks it down empirically:
 //!
 //! * canonical comparison (clusters as member-id sets, noise sets exact)
 //!   for t ∈ {1, 2, 4, 8} on hurricane-like, grid, and random-walk
 //!   fixtures;
-//! * a border-merge regression shaped like the PR 2 stolen-border bug,
-//!   spanning ≥ 3 shard tiles;
+//! * a long corridor with a shared border, shaped like the stolen-border
+//!   bug, whose queries are split across every worker;
 //! * an extra thread count taken from `RUST_TEST_THREADS` when set, so CI
-//!   sweeps shard counts that the hard-coded list misses.
+//!   sweeps thread counts that the hard-coded list misses.
 
+mod common;
+
+use common::{
+    bfs_clustering, canonical_clusters, env_thread_count, grid_db, hurricane_db, identified,
+    random_walk_db, THREAD_COUNTS,
+};
 use traclus_core::{
-    ClusterConfig, Clustering, IndexKind, LineSegmentClustering, PartitionConfig, SegmentDatabase,
-    SegmentLabel, ShardPlan,
+    ClusterConfig, IndexKind, LineSegmentClustering, PartitionConfig, SegmentDatabase, SegmentLabel,
 };
-use traclus_data::{HurricaneConfig, HurricaneGenerator};
-use traclus_geom::{
-    IdentifiedSegment, Point2, Segment2, SegmentDistance, SegmentId, Trajectory, TrajectoryId,
-};
+use traclus_geom::{Point2, Segment2, SegmentDistance, Trajectory, TrajectoryId};
 
-/// Thread counts every fixture is checked under.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Clusters as sorted member-id sets, sorted by first member — the
-/// renumbering-invariant canonical form.
-fn canonical_clusters(clustering: &Clustering) -> Vec<Vec<u32>> {
-    let mut sets: Vec<Vec<u32>> = clustering
-        .clusters
-        .iter()
-        .map(|c| {
-            let mut m = c.members.clone();
-            m.sort_unstable();
-            m
-        })
-        .collect();
-    sets.sort();
-    sets
-}
-
-/// Asserts parallel/sequential equivalence on one database+config, for the
-/// fixed thread counts plus an optional extra one from the environment.
+/// Asserts oracle equivalence on one database+config for `run()`, the
+/// fixed thread counts, and an optional extra one from the environment.
 fn assert_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixture: &str) {
     let algo = LineSegmentClustering::new(db, config);
-    let sequential = algo.run();
+    let sequential = bfs_clustering(db, &config);
+    assert_eq!(
+        algo.run(),
+        sequential,
+        "{fixture}: run() diverges from the oracle"
+    );
     let mut counts: Vec<usize> = THREAD_COUNTS.to_vec();
     if let Some(extra) = env_thread_count() {
         counts.push(extra);
@@ -68,103 +57,13 @@ fn assert_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixture: &s
             "{fixture}: filter diagnostics diverge at t={t}"
         );
         // ...and (stronger, by design) bit-identical output including
-        // cluster numbering: the merge pass renumbers components in the
-        // sequential seed order.
+        // cluster numbering: components are numbered in the sequential
+        // seed order.
         assert_eq!(
             sequential, parallel,
             "{fixture}: exact equality broken at t={t}"
         );
     }
-}
-
-/// `RUST_TEST_THREADS`, reused as a shard-count override so CI can sweep
-/// thread counts without recompiling the test list.
-fn env_thread_count() -> Option<usize> {
-    std::env::var("RUST_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0 && t <= 64)
-}
-
-fn identified(segments: Vec<(Segment2, u32)>) -> SegmentDatabase<2> {
-    let segs = segments
-        .into_iter()
-        .enumerate()
-        .map(|(k, (s, tr))| IdentifiedSegment::new(SegmentId(k as u32), TrajectoryId(tr), s))
-        .collect();
-    SegmentDatabase::from_segments(segs, SegmentDistance::default())
-}
-
-/// Hurricane-like fixture: the synthetic Best-Track stand-in, partitioned
-/// by the real MDL phase.
-fn hurricane_db(tracks: usize, seed: u64) -> SegmentDatabase<2> {
-    let trajectories = HurricaneGenerator::new(HurricaneConfig {
-        tracks,
-        seed,
-        ..HurricaneConfig::default()
-    })
-    .generate();
-    SegmentDatabase::from_trajectories(
-        &trajectories,
-        &PartitionConfig::default(),
-        SegmentDistance::default(),
-    )
-}
-
-/// Grid fixture: bundles of parallel segments on a lattice, dense enough
-/// that most bundles cluster and sparse singletons stay noise.
-fn grid_db() -> SegmentDatabase<2> {
-    let mut entries = Vec::new();
-    for gx in 0..4 {
-        for gy in 0..3 {
-            let (x0, y0) = (gx as f64 * 40.0, gy as f64 * 30.0);
-            let bundle_size = 3 + ((gx + gy) % 3);
-            for i in 0..bundle_size {
-                entries.push((
-                    Segment2::xy(x0, y0 + 0.5 * i as f64, x0 + 12.0, y0 + 0.5 * i as f64),
-                    (gx * 10 + gy * 3 + i) as u32,
-                ));
-            }
-        }
-    }
-    // Scattered singletons between lattice nodes.
-    for k in 0..6 {
-        let x = 17.0 + 23.0 * k as f64;
-        entries.push((
-            Segment2::xy(x, 15.0 + k as f64, x + 4.0, 15.5 + k as f64),
-            (100 + k) as u32,
-        ));
-    }
-    identified(entries)
-}
-
-/// Random-walk fixture: deterministic pseudo-random segment soup with a
-/// few planted corridors, many trajectories.
-fn random_walk_db(seed: u64, n: usize) -> SegmentDatabase<2> {
-    // xorshift64* — self-contained, deterministic across platforms.
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 40) as f64) / (1u64 << 24) as f64
-    };
-    let mut entries = Vec::new();
-    let (mut x, mut y) = (0.0f64, 0.0f64);
-    for k in 0..n {
-        let dx = 4.0 + 6.0 * next();
-        let dy = 8.0 * next() - 4.0;
-        let (nx, ny) = (x + dx, y + dy);
-        entries.push((Segment2::xy(x, y, nx, ny), (k % 17) as u32));
-        x = nx;
-        y = ny;
-        if next() < 0.15 {
-            // Jump: restart the walk elsewhere so density varies.
-            x = 200.0 * next();
-            y = 150.0 * next();
-        }
-    }
-    identified(entries)
 }
 
 #[test]
@@ -231,10 +130,11 @@ fn whole_pipeline_fixture_is_equivalent() {
     assert_equivalent(&db, ClusterConfig::new(4.0, 4), "pipeline");
 }
 
-/// The PR 2 bug shape, parallelised: one density-connected cluster strung
-/// across many tiles, with a non-core border segment sitting between two
-/// core runs. Splitting the chain over shards must not cut it in two, and
-/// the border must not be double-assigned or dropped.
+/// The stolen-border bug shape, parallelised: one density-connected
+/// cluster strung along a corridor, with a non-core border segment sitting
+/// between two core runs. Fanning the queries out over workers must not
+/// cut the chain in two, and the border must not be double-assigned or
+/// dropped.
 #[test]
 fn border_merge_keeps_cross_tile_cluster_whole() {
     let mut entries = Vec::new();
@@ -255,7 +155,7 @@ fn border_merge_keeps_cross_tile_cluster_whole() {
     // ...plus one border segment above the corridor midpoint: its
     // neighborhood is {self + the 5 bundle cores below} = 6 < MinLns 7,
     // so it is non-core but density-reachable — shared by several
-    // density-connected cores, the PR 2 bug shape.
+    // density-connected cores, the stolen-border bug shape.
     let border_id = entries.len() as u32;
     entries.push((Segment2::xy(12.0 * 7.0, 3.2, 12.0 * 7.0 + 10.0, 3.2), tr));
     let db = identified(entries);
@@ -265,54 +165,16 @@ fn border_merge_keeps_cross_tile_cluster_whole() {
     };
 
     for threads in [2, 3, 4, 8] {
-        // The fixture must genuinely exercise the merge: its segments span
-        // several tiles and at least two shards.
-        let plan = ShardPlan::new(&db, threads, config.eps);
-        let mut tiles: Vec<usize> = (0..db.len() as u32)
-            .map(|id| plan.tile_of_segment(id))
-            .collect();
-        tiles.sort_unstable();
-        tiles.dedup();
-        assert!(
-            tiles.len() >= 3,
-            "fixture spans only {} tiles at t={threads}",
-            tiles.len()
-        );
-        let mut shards: Vec<usize> = (0..db.len() as u32)
-            .map(|id| plan.shard_of_segment(id))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        assert!(
-            shards.len() >= 2,
-            "fixture occupies one shard at t={threads}"
-        );
-        // The conservative geometric border query agrees: the corridor has
-        // segments whose ε-expanded MBR crosses tile boundaries — without
-        // them no cross-tile edge (and no merge) could exist. √5·ε is the
-        // uniform-weight filter radius (see traclus-index).
-        let radius = config.eps * 5.0f64.sqrt();
-        let border_candidates = (0..db.len() as u32)
-            .filter(|&id| {
-                plan.tile_grid()
-                    .crosses_boundary(&db.bbox_of(id).expanded(radius))
-            })
-            .count();
-        assert!(
-            border_candidates > 0,
-            "no ε-ball crosses a tile boundary at t={threads}"
-        );
-
         let parallel = LineSegmentClustering::new(&db, config).run_parallel(threads);
         assert_eq!(
             parallel.clusters.len(),
             1,
-            "cross-tile cluster split at t={threads}"
+            "corridor cluster split at t={threads}"
         );
         assert_eq!(
             parallel.clusters[0].members.len(),
             db.len(),
-            "member lost in the border merge at t={threads}"
+            "corridor member lost at t={threads}"
         );
         assert_eq!(
             parallel.labels[border_id as usize],
@@ -320,13 +182,13 @@ fn border_merge_keeps_cross_tile_cluster_whole() {
             "border segment dropped at t={threads}"
         );
     }
-    // And the sequential path agrees.
+    // And the oracle agrees.
     assert_equivalent(&db, config, "border-merge chain");
 }
 
 /// A non-core border segment reachable from two *distinct* clusters must
 /// land in the earlier cluster (first-come sequential semantics) under any
-/// thread count — the exact PR 2 stolen-border scenario.
+/// thread count — the exact stolen-border scenario.
 #[test]
 fn shared_border_segment_is_not_stolen_in_parallel() {
     let mut entries = Vec::new();
@@ -348,7 +210,7 @@ fn shared_border_segment_is_not_stolen_in_parallel() {
     }
     let db = identified(entries);
     let config = ClusterConfig::new(1.5, 4);
-    let sequential = LineSegmentClustering::new(&db, config).run();
+    let sequential = bfs_clustering(&db, &config);
     assert_eq!(sequential.clusters.len(), 2);
     assert_eq!(sequential.clusters[0].members, vec![0, 1, 2, 3, 4, 5]);
     for t in [2, 3, 4, 8] {
@@ -364,9 +226,8 @@ fn shared_border_segment_is_not_stolen_in_parallel() {
 
 #[test]
 fn dense_database_compaction_preserves_equivalence() {
-    // ~600 segments all mutually within ε: the deferred-edge lists blow
-    // past their compaction budgets, exercising the canonicalise+dedup
-    // path that keeps shard memory bounded on dense settings.
+    // ~600 segments all mutually within ε: more than one query batch, with
+    // every query returning the whole database.
     let entries: Vec<(Segment2, u32)> = (0..600)
         .map(|i| {
             let y = (i % 60) as f64 * 0.05;
@@ -400,28 +261,11 @@ fn degenerate_databases_are_equivalent() {
     // Single segment.
     let single = identified(vec![(Segment2::xy(0.0, 0.0, 5.0, 0.0), 0)]);
     assert_equivalent(&single, ClusterConfig::new(1.0, 2), "single");
-    // All segments stacked on one point (one tile, many threads).
+    // All segments stacked on one point (one dense spot, many threads).
     let stacked = identified(
         (0..7)
             .map(|i| (Segment2::xy(1.0, 1.0, 1.0, 1.0), i))
             .collect(),
     );
     assert_equivalent(&stacked, ClusterConfig::new(0.5, 3), "stacked");
-    // The stacked geometry triggers the contiguous-id fallback — every
-    // worker gets segments instead of one shard hoarding the single hot
-    // tile — and the output stays identical (asserted just above).
-    for t in [2, 4, 8] {
-        let plan = ShardPlan::new(&stacked, t, 0.5);
-        assert!(
-            plan.used_degenerate_fallback(),
-            "stacked plan must fall back at t={t}"
-        );
-        let nonempty = (0..plan.shard_count())
-            .filter(|&s| !plan.shard_members(s).is_empty())
-            .count();
-        assert!(
-            nonempty > 1,
-            "fallback still parks everything on one worker at t={t}"
-        );
-    }
 }

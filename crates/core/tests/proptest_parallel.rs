@@ -1,8 +1,11 @@
-//! Property-based equivalence of the sharded parallel clustering path:
-//! random segment soups and parameters, parallel output must equal the
-//! sequential Figure 12 output exactly, and repeated runs with the same
-//! thread count must be bit-identical (determinism).
+//! Property-based equivalence of the grouping kernel at every thread
+//! count: random segment soups and parameters, parallel output must equal
+//! the Figure 12 breadth-first oracle (`common`) exactly, and repeated
+//! runs with the same thread count must be bit-identical (determinism).
 
+mod common;
+
+use common::bfs_clustering;
 use proptest::prelude::*;
 use traclus_core::{ClusterConfig, IndexKind, LineSegmentClustering, SegmentDatabase};
 use traclus_geom::{IdentifiedSegment, Segment2, SegmentDistance, SegmentId, TrajectoryId};
@@ -51,7 +54,8 @@ proptest! {
             ..ClusterConfig::new(eps, min_lns)
         };
         let algo = LineSegmentClustering::new(&db, config);
-        let sequential = algo.run();
+        let sequential = bfs_clustering(&db, &config);
+        prop_assert_eq!(&sequential, &algo.run(), "run() != oracle at eps={}", eps);
         let parallel = algo.run_parallel(threads);
         prop_assert_eq!(
             &sequential, &parallel,
@@ -70,10 +74,12 @@ proptest! {
         min_lns in 2usize..5,
     ) {
         // Transitivity check run directly across counts, including counts
-        // far above the segment count (mostly-empty shards).
+        // far above the segment count (mostly-idle workers).
         let db = SegmentDatabase::from_segments(segments, SegmentDistance::default());
-        let algo = LineSegmentClustering::new(&db, ClusterConfig::new(eps, min_lns));
+        let config = ClusterConfig::new(eps, min_lns);
+        let algo = LineSegmentClustering::new(&db, config);
         let reference = algo.run_parallel(2);
+        prop_assert_eq!(&reference, &bfs_clustering(&db, &config), "t=2 vs oracle");
         for t in [3usize, 5, 16] {
             prop_assert_eq!(&reference, &algo.run_parallel(t), "t=2 vs t={}", t);
         }
@@ -86,13 +92,16 @@ proptest! {
         threads in 2usize..6,
     ) {
         // Zero parallel weight disables the conservative index filter; the
-        // sharded path must still agree with the sequential full scan.
+        // parallel path must still agree with the oracle's full scan.
         let dist = SegmentDistance::new(
             traclus_geom::DistanceWeights::new(1.0, 0.0, 1.0),
             traclus_geom::AngleMode::Directed,
         );
         let db = SegmentDatabase::from_segments(segments, dist);
-        let algo = LineSegmentClustering::new(&db, ClusterConfig::new(eps, 2));
-        prop_assert_eq!(algo.run(), algo.run_parallel(threads));
+        let config = ClusterConfig::new(eps, 2);
+        let algo = LineSegmentClustering::new(&db, config);
+        let oracle = bfs_clustering(&db, &config);
+        prop_assert_eq!(&oracle, &algo.run());
+        prop_assert_eq!(&oracle, &algo.run_parallel(threads));
     }
 }

@@ -8,40 +8,32 @@
 //! execution strategy:
 //!
 //! * sequential `run()` with pruning on vs off — exact `Clustering`
-//!   equality (labels, member lists, filter diagnostics) plus equal
+//!   equality (labels, member lists, filter diagnostics) with each other
+//!   and with the Figure 12 breadth-first oracle (`common`), plus equal
 //!   representative trajectories, on hurricane-like, grid, and
 //!   random-walk fixtures;
 //! * `run_parallel(t)` for t ∈ {1, 2, 4, 8} (and `RUST_TEST_THREADS`
-//!   when set) — pruned parallel output equals the unpruned sequential
-//!   output bit for bit;
+//!   when set) — pruned parallel output equals the unpruned oracle output
+//!   bit for bit;
 //! * streaming insert/remove interleavings — a pruning engine and a
-//!   non-pruning engine fed the same operations agree on `snapshot()`
-//!   after every single operation (proptest-generated scenes included);
+//!   non-pruning engine fed the same operations agree on `snapshot()`,
+//!   and with the oracle over the live window, after every single
+//!   operation (proptest-generated scenes included);
 //! * counter sanity — `candidates = pruned + refined` on every run, and
 //!   all prune counters stay zero when pruning is disabled.
 
+mod common;
+
+use common::{
+    bfs_clustering, env_thread_count, grid_db, hurricane_db, identified, random_walk_db,
+    THREAD_COUNTS,
+};
 use proptest::prelude::*;
 use traclus_core::{
     representatives_for, ClusterConfig, ClusterStats, IncrementalClustering, IndexKind,
-    LineSegmentClustering, PartitionConfig, PruneStats, SegmentDatabase, TraclusConfig,
+    LineSegmentClustering, PruneStats, SegmentDatabase, TraclusConfig,
 };
-use traclus_data::{HurricaneConfig, HurricaneGenerator};
-use traclus_geom::{
-    IdentifiedSegment, Point2, Segment2, SegmentDistance, SegmentId, Trajectory, TrajectoryId,
-};
-
-/// Thread counts every fixture is checked under.
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// `RUST_TEST_THREADS`, reused as an extra thread count so CI sweeps
-/// shard counts the hard-coded list misses (same idiom as the parallel
-/// equivalence suite).
-fn env_thread_count() -> Option<usize> {
-    std::env::var("RUST_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&t| t > 0 && t <= 64)
-}
+use traclus_geom::{Point2, Segment2, Trajectory, TrajectoryId};
 
 /// Every counter invariant one run's stats must satisfy.
 fn assert_counters_coherent(stats: &ClusterStats, pruning: bool, context: &str) {
@@ -80,6 +72,17 @@ fn assert_prune_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixtu
     let (c_on, s_on) = on.run_with_stats();
     let (c_off, s_off) = off.run_with_stats();
     assert_eq!(c_on, c_off, "{fixture}: pruning changed the clustering");
+    let oracle = bfs_clustering(
+        db,
+        &ClusterConfig {
+            pruning: false,
+            ..config
+        },
+    );
+    assert_eq!(
+        c_off, oracle,
+        "{fixture}: unpruned run diverges from the oracle"
+    );
     assert_counters_coherent(&s_on, true, fixture);
     assert_counters_coherent(&s_off, false, fixture);
 
@@ -105,91 +108,13 @@ fn assert_prune_equivalent(db: &SegmentDatabase<2>, config: ClusterConfig, fixtu
         let (p_on, ps_on) = on.run_parallel_with_stats(t);
         let (p_off, ps_off) = off.run_parallel_with_stats(t);
         assert_eq!(
-            p_on, c_off,
-            "{fixture}: pruned parallel t={t} diverges from unpruned sequential"
+            p_on, oracle,
+            "{fixture}: pruned parallel t={t} diverges from the unpruned oracle"
         );
-        assert_eq!(p_off, c_off, "{fixture}: unpruned parallel t={t} diverges");
+        assert_eq!(p_off, oracle, "{fixture}: unpruned parallel t={t} diverges");
         assert_counters_coherent(&ps_on, true, &format!("{fixture} t={t}"));
         assert_counters_coherent(&ps_off, false, &format!("{fixture} t={t}"));
     }
-}
-
-fn identified(segments: Vec<(Segment2, u32)>) -> SegmentDatabase<2> {
-    let segs = segments
-        .into_iter()
-        .enumerate()
-        .map(|(k, (s, tr))| IdentifiedSegment::new(SegmentId(k as u32), TrajectoryId(tr), s))
-        .collect();
-    SegmentDatabase::from_segments(segs, SegmentDistance::default())
-}
-
-/// Hurricane-like fixture: the synthetic Best-Track stand-in, partitioned
-/// by the real MDL phase.
-fn hurricane_db(tracks: usize, seed: u64) -> SegmentDatabase<2> {
-    let trajectories = HurricaneGenerator::new(HurricaneConfig {
-        tracks,
-        seed,
-        ..HurricaneConfig::default()
-    })
-    .generate();
-    SegmentDatabase::from_trajectories(
-        &trajectories,
-        &PartitionConfig::default(),
-        SegmentDistance::default(),
-    )
-}
-
-/// Grid fixture: bundles of parallel segments on a lattice plus scattered
-/// singletons — spatially spread, so the MBR tier has real work.
-fn grid_db() -> SegmentDatabase<2> {
-    let mut entries = Vec::new();
-    for gx in 0..4 {
-        for gy in 0..3 {
-            let (x0, y0) = (gx as f64 * 40.0, gy as f64 * 30.0);
-            let bundle_size = 3 + ((gx + gy) % 3);
-            for i in 0..bundle_size {
-                entries.push((
-                    Segment2::xy(x0, y0 + 0.5 * i as f64, x0 + 12.0, y0 + 0.5 * i as f64),
-                    (gx * 10 + gy * 3 + i) as u32,
-                ));
-            }
-        }
-    }
-    for k in 0..6 {
-        let x = 17.0 + 23.0 * k as f64;
-        entries.push((
-            Segment2::xy(x, 15.0 + k as f64, x + 4.0, 15.5 + k as f64),
-            (100 + k) as u32,
-        ));
-    }
-    identified(entries)
-}
-
-/// Random-walk fixture: deterministic pseudo-random segment soup
-/// (xorshift64*), varied density, many trajectories.
-fn random_walk_db(seed: u64, n: usize) -> SegmentDatabase<2> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 40) as f64) / (1u64 << 24) as f64
-    };
-    let mut entries = Vec::new();
-    let (mut x, mut y) = (0.0f64, 0.0f64);
-    for k in 0..n {
-        let dx = 4.0 + 6.0 * next();
-        let dy = 8.0 * next() - 4.0;
-        let (nx, ny) = (x + dx, y + dy);
-        entries.push((Segment2::xy(x, y, nx, ny), (k % 17) as u32));
-        x = nx;
-        y = ny;
-        if next() < 0.15 {
-            x = 200.0 * next();
-            y = 150.0 * next();
-        }
-    }
-    identified(entries)
 }
 
 #[test]
@@ -277,8 +202,9 @@ fn stream_config(eps: f64, min_lns: usize, pruning: bool) -> TraclusConfig {
 }
 
 /// Runs the same insert/remove interleaving through a pruning and a
-/// non-pruning engine, asserting snapshot equality after every operation
-/// and counter coherence at the end.
+/// non-pruning engine, asserting snapshot equality with each other and
+/// with the oracle over the live window after every operation, and counter
+/// coherence at the end.
 fn assert_stream_equivalent(
     trajectories: &[Trajectory<2>],
     removals: &[(usize, u32)],
@@ -288,6 +214,9 @@ fn assert_stream_equivalent(
 ) {
     let mut on = IncrementalClustering::<2>::new(stream_config(eps, min_lns, true));
     let mut off = IncrementalClustering::<2>::new(stream_config(eps, min_lns, false));
+    let oracle = |engine: &IncrementalClustering<2>| {
+        bfs_clustering(&engine.live_database(), &engine.config().cluster_config())
+    };
     let mut removal_iter = removals.iter().peekable();
     for (step, tr) in trajectories.iter().enumerate() {
         on.insert(tr);
@@ -296,6 +225,11 @@ fn assert_stream_equivalent(
             on.snapshot(),
             off.snapshot(),
             "{context}: snapshots diverge after insert #{step}"
+        );
+        assert_eq!(
+            off.snapshot(),
+            oracle(&off),
+            "{context}: snapshot diverges from the oracle after insert #{step}"
         );
         while let Some(&&(at, victim)) = removal_iter.peek() {
             if at != step {
@@ -312,6 +246,11 @@ fn assert_stream_equivalent(
                 on.snapshot(),
                 off.snapshot(),
                 "{context}: snapshots diverge after removing {victim} at step {step}"
+            );
+            assert_eq!(
+                off.snapshot(),
+                oracle(&off),
+                "{context}: snapshot diverges from the oracle after removing {victim}"
             );
         }
     }

@@ -1,10 +1,12 @@
 //! Concurrent-equivalence harness for [`SnapshotCell`]: one writer
 //! ingests a dataset and publishes after every insert while reader
 //! threads concurrently pin snapshots. Every snapshot any reader ever
-//! observes must be bit-identical to the batch pipeline's output on the
-//! prefix the snapshot claims — label for label, representative for
-//! representative. There is no "close enough" here: the cell either
+//! observes must be bit-identical to the Figure 12 oracle (`common`) on
+//! the prefix the snapshot claims, label for label, and to the batch
+//! pipeline's representatives. There is no "close enough" here: the cell either
 //! publishes exact prefix states or it is broken.
+
+mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -39,8 +41,8 @@ fn assert_is_batch_prefix(
     let batch = Traclus::new(config).run(&trajectories[..prefix]);
     assert_eq!(
         snap.clustering(),
-        &batch.clustering,
-        "snapshot at epoch {} must equal batch clustering on its {}-trajectory prefix",
+        &common::bfs_pipeline(&config, &trajectories[..prefix]),
+        "snapshot at epoch {} must equal the oracle clustering on its {}-trajectory prefix",
         snap.epoch(),
         prefix
     );

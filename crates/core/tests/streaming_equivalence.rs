@@ -2,47 +2,39 @@
 //!
 //! Feeding every trajectory of a dataset through
 //! [`IncrementalClustering::insert`] one at a time must produce the same
-//! clustering as the batch `Traclus::run` path on the full dataset — the
-//! design argument lives in `traclus_core::stream`, and this suite locks it
-//! down empirically:
+//! clustering as the Figure 12 breadth-first oracle (`common`) over the
+//! full dataset, and the same representatives as the batch `Traclus::run`
+//! path — the design argument lives in `traclus_core::stream`, and this
+//! suite locks it down empirically:
 //!
 //! * canonical comparison (clusters as member-id sets, exact noise sets,
 //!   representatives within tolerance) — plus, stronger, exact
 //!   `Clustering` equality including cluster numbering — on hurricane-like,
 //!   grid, and random-walk trajectory fixtures;
-//! * mid-stream prefix snapshots against batch runs on the same prefix;
+//! * mid-stream prefix snapshots against oracle runs on the same prefix;
 //! * the dirty-region knob at 0.0 (always re-cluster), the default, and
 //!   1.0 (never re-cluster), which may only move work around;
 //! * weighted trajectories, every index kind, and degenerate inputs.
 
-use traclus_core::{
-    Clustering, IncrementalClustering, IndexKind, StreamConfig, Traclus, TraclusConfig,
-};
+mod common;
+
+use common::{bfs_pipeline, canonical_clusters};
+use traclus_core::{IncrementalClustering, IndexKind, StreamConfig, Traclus, TraclusConfig};
 use traclus_data::{HurricaneConfig, HurricaneGenerator};
 use traclus_geom::{Point2, Trajectory, TrajectoryId};
 
-/// Clusters as sorted member-id sets, sorted by first member — the
-/// renumbering-invariant canonical form.
-fn canonical_clusters(clustering: &Clustering) -> Vec<Vec<u32>> {
-    let mut sets: Vec<Vec<u32>> = clustering
-        .clusters
-        .iter()
-        .map(|c| {
-            let mut m = c.members.clone();
-            m.sort_unstable();
-            m
-        })
-        .collect();
-    sets.sort();
-    sets
-}
-
 /// Streams `trajectories` through a fresh engine and asserts the outcome
-/// matches the batch pipeline: canonical clusters, exact noise, filter
-/// diagnostics, representatives within tolerance — and exact `Clustering`
-/// equality, which the engine guarantees by construction.
+/// matches the oracle and the batch pipeline: canonical clusters, exact
+/// noise, filter diagnostics, representatives within tolerance — and
+/// exact `Clustering` equality, which the engine guarantees by
+/// construction.
 fn assert_stream_equivalent(config: TraclusConfig, trajectories: &[Trajectory<2>], fixture: &str) {
+    let oracle = bfs_pipeline(&config, trajectories);
     let batch = Traclus::new(config).run(trajectories);
+    assert_eq!(
+        batch.clustering, oracle,
+        "{fixture}: batch run diverges from the oracle"
+    );
     for threshold in [0.0, config.stream.rebuild_threshold, 1.0] {
         let mut engine: IncrementalClustering<2> = Traclus::new(TraclusConfig {
             stream: StreamConfig {
@@ -58,18 +50,18 @@ fn assert_stream_equivalent(config: TraclusConfig, trajectories: &[Trajectory<2>
         let streamed = engine.finish();
         // Canonical comparison: same clusters up to id renumbering...
         assert_eq!(
-            canonical_clusters(&batch.clustering),
+            canonical_clusters(&oracle),
             canonical_clusters(&streamed.clustering),
             "{fixture}: cluster sets diverge at threshold={threshold}"
         );
         // ...exact noise sets and filter diagnostics...
         assert_eq!(
-            batch.clustering.noise(),
+            oracle.noise(),
             streamed.clustering.noise(),
             "{fixture}: noise sets diverge at threshold={threshold}"
         );
         assert_eq!(
-            batch.clustering.filtered_out, streamed.clustering.filtered_out,
+            oracle.filtered_out, streamed.clustering.filtered_out,
             "{fixture}: filter diagnostics diverge at threshold={threshold}"
         );
         // ...representatives within tolerance (they are in fact computed
@@ -98,7 +90,7 @@ fn assert_stream_equivalent(config: TraclusConfig, trajectories: &[Trajectory<2>
         // numbering: the snapshot renumbers components in the sequential
         // seed order.
         assert_eq!(
-            batch.clustering, streamed.clustering,
+            oracle, streamed.clustering,
             "{fixture}: exact equality broken at threshold={threshold}"
         );
     }
@@ -237,16 +229,15 @@ fn weighted_trajectories_are_equivalent() {
 #[test]
 fn every_prefix_of_the_stream_matches_a_batch_run() {
     // The strong invariant: after EVERY insertion, the snapshot equals the
-    // batch clustering of the prefix ingested so far.
+    // oracle clustering of the prefix ingested so far.
     let tracks = hurricane_tracks(16, 77);
     let cfg = config(4.0, 4);
     let mut engine: IncrementalClustering<2> = Traclus::new(cfg).stream();
     for k in 0..tracks.len() {
         engine.insert(&tracks[k]);
-        let batch = Traclus::new(cfg).run(&tracks[..=k]);
         assert_eq!(
             engine.snapshot(),
-            batch.clustering,
+            bfs_pipeline(&cfg, &tracks[..=k]),
             "prefix of {} tracks diverges",
             k + 1
         );

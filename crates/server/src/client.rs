@@ -2,12 +2,12 @@
 //! integration tests, the CI smoke check, and the load generator; also a
 //! reference implementation for external clients.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use traclus_json::JsonValue;
 
-use crate::protocol::Request;
+use crate::protocol::{write_line, Request};
 
 /// One connection speaking the line protocol synchronously: every
 /// [`Self::request`] writes one line and blocks for the one-line answer.
@@ -29,15 +29,17 @@ impl Client {
 
     /// Sends a typed request and returns the parsed response object.
     pub fn request(&mut self, request: &Request) -> std::io::Result<JsonValue> {
-        self.send_raw(&request.to_line())
+        self.send_line(request.to_line())
     }
 
     /// Sends one raw line verbatim (useful for probing the server's
     /// malformed-input handling) and returns the parsed response.
     pub fn send_raw(&mut self, line: &str) -> std::io::Result<JsonValue> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.send_line(line.to_owned())
+    }
+
+    fn send_line(&mut self, line: String) -> std::io::Result<JsonValue> {
+        write_line(&mut self.writer, line)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

@@ -54,8 +54,9 @@ pub enum EngineCommand {
         /// Where to send the expiry report + publication epoch.
         reply: SyncSender<(RemoveReport, u64)>,
     },
-    /// Publish everything applied so far, then reply with the epoch —
-    /// the read-your-writes barrier behind the `flush` op.
+    /// Reply with the epoch of a snapshot that reflects everything
+    /// applied so far — the read-your-writes barrier behind the `flush`
+    /// op. A drained batch of nothing but flushes publishes nothing new.
     Flush(SyncSender<u64>),
     /// Drain nothing further and exit the engine thread.
     Stop,
@@ -122,7 +123,14 @@ impl EngineThread {
                         batch = commands.try_recv().ok();
                     }
                 }
-                let snapshot = cell.publish_from(&engine);
+                // A batch of bare flushes changed nothing: every earlier
+                // command was published with its own batch, so the current
+                // epoch already reflects them all.
+                let snapshot = if applied == 0 {
+                    cell.load()
+                } else {
+                    cell.publish_from(&engine)
+                };
                 for reply in pending_flushes.drain(..) {
                     // A flush client that hung up just forfeits its reply.
                     let _ = reply.try_send(snapshot.epoch());

@@ -23,7 +23,20 @@
 //! [`ProtocolError`], never a panic (the fuzz suite in
 //! `tests/protocol_proptest.rs` holds the parser to that).
 
+use std::io::Write;
+
 use traclus_json::{JsonError, JsonValue};
+
+/// Sends one protocol line: `line` plus its `\n` terminator in a single
+/// `write_all`, then a flush. Two writes would break a reply at or above
+/// a `BufWriter`'s capacity in two: the payload bypasses the buffer and
+/// the lone newline follows as a second tiny TCP segment, which Nagle's
+/// algorithm holds back until the peer's delayed ACK (tens of ms).
+pub(crate) fn write_line(writer: &mut impl Write, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
+    writer.flush()
+}
 
 /// One parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -334,6 +347,35 @@ pub fn error_response(error: &ProtocolError) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The socket side of a `BufWriter`: records every write it receives.
+    #[derive(Default)]
+    struct RecordingWrite {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for RecordingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_line_reaches_the_socket_as_one_write() {
+        // 20 KiB is past the 8 KiB BufWriter buffer, so the payload
+        // bypasses the buffer on its way to the socket.
+        let line = JsonValue::from("x".repeat(20 * 1024)).to_compact();
+        let mut writer = std::io::BufWriter::new(RecordingWrite::default());
+        write_line(&mut writer, line.clone()).unwrap();
+        let writes = &writer.get_ref().writes;
+        assert_eq!(writes.len(), 1, "payload and newline must travel together");
+        assert_eq!(writes[0], format!("{line}\n").into_bytes());
+    }
 
     #[test]
     fn parses_each_op() {

@@ -6,7 +6,7 @@
 // snapshot layers below this file stay wall-clock-free, so determinism of
 // results is untouched.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -19,7 +19,7 @@ use traclus_geom::{Aabb, Point2, TrajectoryId};
 use traclus_json::JsonValue;
 
 use crate::engine::{expire, flush, remove, send_command, EngineCommand, EngineThread};
-use crate::protocol::{error_response, Request};
+use crate::protocol::{error_response, write_line, Request};
 
 /// Configuration of one serving daemon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -262,7 +262,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                     let started = Instant::now();
                     let (response, shutdown) = dispatch(&line, shared);
                     let response = with_timing(response, started);
-                    if write_line(&mut writer, &response).is_err() {
+                    if write_line(&mut writer, response.to_compact()).is_err() {
                         break;
                     }
                     if shutdown {
@@ -287,12 +287,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             break;
         }
     }
-}
-
-fn write_line(writer: &mut impl Write, response: &JsonValue) -> std::io::Result<()> {
-    writer.write_all(response.to_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 /// Appends the per-request service time. Timing is observability only —

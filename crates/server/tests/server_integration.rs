@@ -387,6 +387,32 @@ fn queries_on_an_empty_daemon_are_well_formed() {
     server.join().expect("join").expect("clean shutdown");
 }
 
+/// A flush with nothing new to apply publishes nothing: back-to-back
+/// flushes report the same epoch, and one ingest before a flush moves it
+/// by exactly one publication.
+#[test]
+fn flush_publishes_only_new_work() {
+    let (config, trajectories) = fixture();
+    let (addr, server) = start(config);
+    let mut client = Client::connect(addr).expect("connect");
+
+    let first = epoch_of(&client.request(&Request::Flush).expect("flush"));
+    let second = epoch_of(&client.request(&Request::Flush).expect("flush"));
+    assert_eq!(first, second, "a bare flush must not republish");
+
+    assert_ok(
+        &client
+            .request(&ingest_request(&trajectories[0]))
+            .expect("ingest"),
+    );
+    let third = epoch_of(&client.request(&Request::Flush).expect("flush"));
+    assert_eq!(third, second + 1, "one ingest, one publication");
+
+    let resp = client.request(&Request::Shutdown).expect("shutdown");
+    assert_ok(&resp);
+    server.join().expect("join").expect("clean shutdown");
+}
+
 /// `remove` and `expire` over the wire are synchronous and exact: each
 /// reply's epoch reflects the published post-removal snapshot, and the
 /// served representatives equal the batch pipeline on the live window.

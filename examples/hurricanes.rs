@@ -46,10 +46,10 @@ fn main() {
         best.eps, best.avg_neighborhood, min_lns_range
     );
 
-    // Phase 2: cluster with the estimated parameters, sharded over every
-    // available hardware thread (the default Parallelism knob). The
-    // parallel path returns the identical clustering to the sequential
-    // loop — Parallelism::Sequential forces the single-threaded scan.
+    // Phase 2: cluster with the estimated parameters, with the ε-queries
+    // spread over every available hardware thread (the default
+    // Parallelism knob). The clustering is identical at any thread count
+    // — Parallelism::Sequential runs every query inline.
     let min_lns = *min_lns_range.start() + 1;
     let parallelism = Parallelism::Available;
     let outcome = Traclus::new(TraclusConfig {
