@@ -1,6 +1,6 @@
 //! Lemma 3 micro-benchmark: line-segment clustering with and without a
-//! spatial index (linear scan = the O(n²) arm; grid and R-tree = the
-//! O(n log n) arm), plus the grouping kernel across thread counts and the
+//! spatial index (linear scan = the O(n²) arm; R-tree = the O(n log n)
+//! arm), plus the grouping kernel across thread counts and the
 //! streaming engine's insert throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -14,11 +14,7 @@ use traclus_geom::{Aabb, SegmentDistance, Trajectory, TrajectoryId};
 use traclus_index::{RTree, RTreeParams};
 
 fn bench_cluster(c: &mut Criterion) {
-    for (kind, label) in [
-        (IndexKind::Linear, "linear"),
-        (IndexKind::Grid, "grid"),
-        (IndexKind::RTree, "rtree"),
-    ] {
+    for (kind, label) in [(IndexKind::Linear, "linear"), (IndexKind::RTree, "rtree")] {
         let mut group = c.benchmark_group(format!("cluster/{label}"));
         group.sample_size(10);
         for n in [500usize, 1000, 2000] {
@@ -325,8 +321,8 @@ fn bench_prune(c: &mut Criterion) {
     };
     let scaled = scaled_database(1000, 5);
     // The spatial-index workloads measure the filter's overhead when the
-    // grid/R-tree window has already discarded the far field (the filter
-    // roughly pays for itself); the `_scan` workload runs the Linear
+    // R-tree window has already discarded the far field (there the filter
+    // costs more than it saves); the `_scan` workload runs the Linear
     // full-scan arm, where the bounds are the only thing standing between
     // every query and an O(n) kernel sweep — that's the headline win.
     for (db, label, eps, min_lns, index) in [
@@ -353,7 +349,7 @@ fn bench_prune(c: &mut Criterion) {
         }
         group.finish();
 
-        let (_, stats) = LineSegmentClustering::new(
+        let (_, p) = LineSegmentClustering::new(
             db,
             ClusterConfig {
                 index,
@@ -361,7 +357,6 @@ fn bench_prune(c: &mut Criterion) {
             },
         )
         .run_with_stats();
-        let p = stats.prune;
         let permille = (p.pruned_total() * 1000)
             .checked_div(p.candidates)
             .unwrap_or(0);

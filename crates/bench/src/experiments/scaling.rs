@@ -104,11 +104,7 @@ pub fn lemma3(ctx: &ExperimentContext) -> std::io::Result<()> {
         &["segments", "index", "seconds", "ratio_vs_previous"],
     )?;
     println!("[lemma3] clustering time vs segment count per index (linear expect ~4x per doubling, indexed ~2x)");
-    for (kind, label) in [
-        (IndexKind::Linear, "linear"),
-        (IndexKind::Grid, "grid"),
-        (IndexKind::RTree, "rtree"),
-    ] {
+    for (kind, label) in [(IndexKind::Linear, "linear"), (IndexKind::RTree, "rtree")] {
         let mut prev: Option<f64> = None;
         for &n in &[1_000usize, 2_000, 4_000, 8_000] {
             let db = scaled_database(n, 5);

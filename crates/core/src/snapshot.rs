@@ -168,9 +168,11 @@ impl<const D: usize> ClusterSnapshot<D> {
     }
 
     /// The cluster whose representative trajectory passes closest to the
-    /// probe point, with that (Euclidean point-to-polyline) distance.
-    /// `None` when there are no clusters. Ties resolve to the lowest
-    /// cluster id, so the answer is deterministic.
+    /// probe point, with that (Euclidean point-to-polyline) distance. A
+    /// one-point representative is measured to that point; an empty one
+    /// is skipped. `None` when no cluster has a non-empty representative —
+    /// including when there are no clusters at all. Ties resolve to the
+    /// lowest cluster id, so the answer is deterministic.
     pub fn nearest_cluster(&self, probe: &Point<D>) -> Option<(ClusterId, f64)> {
         let mut best: Option<(ClusterId, f64)> = None;
         for c in &self.clusters {
@@ -305,6 +307,7 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
     use crate::Traclus;
     use traclus_geom::Point2;
 
@@ -389,6 +392,28 @@ mod tests {
         let miss = snap.region_summary(&Aabb::new([40.0, 400.0], [60.0, 500.0]));
         assert_eq!(miss.clusters, Vec::new());
         assert_eq!(miss.distinct_trajectories, 0);
+    }
+
+    #[test]
+    fn nearest_cluster_skips_empty_representatives() {
+        let cluster = |id: u32, points: Vec<Point<2>>| TraclusCluster {
+            cluster: Cluster {
+                id: ClusterId(id),
+                members: Vec::new(),
+                trajectories: Vec::new(),
+            },
+            representative: Trajectory::new(TrajectoryId(id), points),
+        };
+        let probe = Point2::xy(0.0, 0.0);
+        // No clusters at all.
+        let mut snap = ClusterSnapshot::<2>::empty(config());
+        assert_eq!(snap.nearest_cluster(&probe), None);
+        // Clusters exist, but every representative is empty.
+        snap.clusters = vec![cluster(0, Vec::new()), cluster(1, Vec::new())];
+        assert_eq!(snap.nearest_cluster(&probe), None);
+        // A one-point representative answers; the empty one is skipped.
+        snap.clusters.push(cluster(2, vec![Point2::xy(3.0, 4.0)]));
+        assert_eq!(snap.nearest_cluster(&probe), Some((ClusterId(2), 5.0)));
     }
 
     #[test]

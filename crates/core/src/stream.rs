@@ -11,7 +11,7 @@
 //!    immediately ([`crate::partition::partition_trajectory_from`]),
 //! 2. appends the resulting segments to the shared [`SegmentDatabase`] and
 //!    inserts them into the live spatial index (the R-tree's Guttman
-//!    insertion path, or grid-cell hashing — [`NeighborIndex::insert`]),
+//!    insertion path — [`NeighborIndex::insert`]),
 //! 3. repairs cluster state **locally**: the ε-neighborhoods (Definition 4)
 //!    of the new segments are expanded, neighborhood cardinalities of
 //!    affected segments are updated in place, segments whose core-ness

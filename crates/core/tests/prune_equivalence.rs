@@ -30,14 +30,13 @@ use common::{
 };
 use proptest::prelude::*;
 use traclus_core::{
-    representatives_for, ClusterConfig, ClusterStats, IncrementalClustering, IndexKind,
-    LineSegmentClustering, PruneStats, SegmentDatabase, TraclusConfig,
+    representatives_for, ClusterConfig, IncrementalClustering, IndexKind, LineSegmentClustering,
+    PruneStats, SegmentDatabase, TraclusConfig,
 };
 use traclus_geom::{Point2, Segment2, Trajectory, TrajectoryId};
 
 /// Every counter invariant one run's stats must satisfy.
-fn assert_counters_coherent(stats: &ClusterStats, pruning: bool, context: &str) {
-    let p = &stats.prune;
+fn assert_counters_coherent(p: &PruneStats, pruning: bool, context: &str) {
     assert_eq!(
         p.candidates,
         p.pruned_total() + p.refined,
@@ -130,8 +129,7 @@ fn hurricane_fixture_actually_prunes() {
     // fires: on the spread-out hurricane fixture at a tight ε the MBR
     // tier must discard a substantial share of candidates.
     let db = hurricane_db(40, 2007);
-    let (_, stats) = LineSegmentClustering::new(&db, ClusterConfig::new(2.0, 3)).run_with_stats();
-    let p = stats.prune;
+    let (_, p) = LineSegmentClustering::new(&db, ClusterConfig::new(2.0, 3)).run_with_stats();
     assert!(p.candidates > 0, "no candidates examined");
     assert!(
         p.pruned_total() * 10 >= p.candidates,
@@ -143,7 +141,7 @@ fn hurricane_fixture_actually_prunes() {
 #[test]
 fn grid_fixture_is_prune_equivalent_across_index_kinds() {
     let db = grid_db();
-    for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+    for kind in [IndexKind::Linear, IndexKind::RTree] {
         let config = ClusterConfig {
             index: kind,
             min_trajectories: Some(2),

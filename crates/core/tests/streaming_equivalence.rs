@@ -188,7 +188,7 @@ fn hurricane_fixture_is_equivalent() {
 #[test]
 fn grid_fixture_is_equivalent_across_index_kinds() {
     let tracks = grid_tracks();
-    for kind in [IndexKind::Linear, IndexKind::Grid, IndexKind::RTree] {
+    for kind in [IndexKind::Linear, IndexKind::RTree] {
         let cfg = TraclusConfig {
             index: kind,
             min_trajectories: Some(2),

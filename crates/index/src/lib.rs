@@ -33,18 +33,15 @@
 //! 2.24·ε`. The bound is property-tested in this crate against random
 //! segment pairs.
 //!
-//! Three interchangeable implementations of [`SpatialIndex`]:
-//! [`LinearScanIndex`] (the O(n²) reference), [`GridIndex`] (uniform
-//! hashing, O(1) expected per query for well-spread data), and [`RTree`]
-//! (STR bulk load + quadratic-split insertion, the paper's suggestion).
+//! Two implementations of [`SpatialIndex`]: [`RTree`] (STR bulk load +
+//! quadratic-split insertion, the paper's suggestion) and
+//! [`LinearScanIndex`] (the O(n²) reference the R-tree is tested against).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod grid;
 pub mod rtree;
 
-pub use grid::GridIndex;
 pub use rtree::{RTree, RTreeParams};
 
 use traclus_geom::{Aabb, DistanceWeights};
@@ -109,8 +106,8 @@ pub trait SpatialIndex<const D: usize> {
 }
 
 /// The O(n)-per-query reference implementation (no acceleration): scans all
-/// boxes. Used as the ground truth in tests and as the "no index" arm of
-/// the Lemma 3 experiment.
+/// boxes. Used as the ground truth the R-tree is tested against and as the
+/// baseline of `bench_rtree`'s window queries.
 #[derive(Debug, Clone, Default)]
 pub struct LinearScanIndex<const D: usize> {
     entries: Vec<(u32, Aabb<D>)>,

@@ -122,7 +122,8 @@ fn lookahead(file: &SourceFile, offset: usize, cap: usize) -> String {
 /// `hash-container`: `HashMap`/`HashSet` in determinism-critical library
 /// code. Their iteration order is seeded per process; if it reaches any
 /// ordered output the bit-exactness guarantees break silently. Lookup-only
-/// uses carry a justified file allow (see `traclus-index`'s grid).
+/// uses carry a justified file allow (the fixture corpus's
+/// `crates/core/src/allowed.rs` shows the form).
 fn hash_container(file: &SourceFile, findings: &mut Vec<Finding>) {
     if !DETERMINISM_CRITICAL.contains(&file.crate_name.as_str()) || file.kind != FileKind::LibSource
     {
